@@ -1,9 +1,12 @@
 #include "harness/table.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <thread>
 
 #include "common/csv.h"  // WriteFile
 #include "common/json_writer.h"
@@ -11,6 +14,17 @@
 
 namespace emp {
 namespace bench {
+
+namespace {
+
+/// Cores this process may run on (its CPU affinity mask, like `nproc`).
+int UsableCores() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+}  // namespace
 
 TablePrinter::TablePrinter(std::string title,
                            std::vector<std::string> columns)
@@ -53,6 +67,8 @@ std::string TablePrinter::ToJson() const {
   w.BeginObject();
   w.Key("title");
   w.String(title_);
+  w.Key("nproc");
+  w.Int(UsableCores());
   w.Key("columns");
   w.BeginInlineArray();
   for (const std::string& c : columns_) w.String(c);

@@ -24,9 +24,12 @@ class TablePrinter {
   void Print() const;
 
   /// Serializes the table via JsonWriter:
-  ///   {"title": ..., "columns": [...], "rows": [[...], ...]}
-  /// Cells stay strings — bench cells mix numbers with annotations like
-  /// "40.2%" or "1.2x", and consumers parse what they need.
+  ///   {"title": ..., "nproc": N, "columns": [...], "rows": [[...], ...]}
+  /// `nproc` is the number of cores this process may run on (its CPU
+  /// affinity mask, like the `nproc` tool), so every exported table
+  /// records the core count it ran on. Cells stay strings — bench
+  /// cells mix numbers with annotations like "40.2%" or "1.2x", and
+  /// consumers parse what they need.
   std::string ToJson() const;
 
   const std::string& title() const { return title_; }

@@ -1,6 +1,9 @@
 #include "core/local_search/neighborhood.h"
 
 #include <algorithm>
+#include <string>
+
+#include "core/local_search/move.h"
 
 namespace emp {
 
@@ -20,8 +23,14 @@ uint32_t NextEpoch(std::vector<uint32_t>* tags, uint32_t* epoch) {
 }  // namespace
 
 TabuNeighborhood::TabuNeighborhood(const Partition* partition,
-                                   const Objective* objective)
-    : partition_(partition), objective_(objective) {
+                                   const Objective* objective,
+                                   ConnectivityChecker* connectivity,
+                                   bool verify_cut_cache)
+    : partition_(partition),
+      objective_(objective),
+      connectivity_(connectivity),
+      cut_cache_(partition, connectivity),
+      verify_cut_cache_(verify_cut_cache) {
   const size_t n = static_cast<size_t>(partition_->num_areas());
   area_version_.assign(n, 0);
   area_targets_.resize(n);
@@ -36,9 +45,9 @@ int64_t TabuNeighborhood::RescoreArea(int32_t area) {
 int64_t TabuNeighborhood::RescoreAreaImpl(int32_t area, int32_t mutated_a,
                                           int32_t mutated_b) {
   auto& targets = area_targets_[static_cast<size_t>(area)];
-  live_ -= static_cast<int64_t>(targets.size());
+  for (const Target& t : targets) live_ -= t.admissible ? 1 : 0;
   // In partial mode (mutated_a >= 0) the old list supplies still-valid
-  // deltas for targets whose member multiset did not change.
+  // deltas and verdicts for targets whose members did not change.
   old_targets_.clear();
   old_targets_.swap(targets);
   ++area_version_[static_cast<size_t>(area)];
@@ -48,8 +57,9 @@ int64_t TabuNeighborhood::RescoreAreaImpl(int32_t area, int32_t mutated_a,
   if (partition_->region(from).size() <= 1) return 0;  // Cannot donate.
 
   // A candidate's delta depends only on d[area] and the member multisets
-  // of its two endpoint regions, so when neither endpoint mutated the old
-  // delta is still bit-exact and MoveDelta need not be re-evaluated.
+  // of its two endpoint regions, and its verdict only on those regions'
+  // stats and the donor's members, so when neither endpoint mutated the
+  // old delta and verdict are still exact and need not be decided again.
   const bool donor_mutated = from == mutated_a || from == mutated_b;
 
   // Regions can be created between Rebuild() calls by callers sharing the
@@ -76,11 +86,11 @@ int64_t TabuNeighborhood::RescoreAreaImpl(int32_t area, int32_t mutated_a,
     if (mutated_a >= 0 && !donor_mutated && to != mutated_a &&
         to != mutated_b) {
       // Both endpoints untouched: the candidate existed before the move
-      // (same donor, same adjacency) with the same delta.
+      // (same donor, same adjacency) with the same delta and verdict.
       bool reused = false;
-      for (const auto& [old_to, old_delta] : old_targets_) {
-        if (old_to == to) {
-          targets.emplace_back(to, old_delta);
+      for (const Target& old : old_targets_) {
+        if (old.to == to) {
+          targets.push_back(old);
           reused = true;
           break;
         }
@@ -96,28 +106,51 @@ int64_t TabuNeighborhood::RescoreAreaImpl(int32_t area, int32_t mutated_a,
     objective_->MoveDeltas(area, from, batch_tos_.data(), batch,
                            batch_deltas_.data());
     for (size_t i = 0; i < batch; ++i) {
-      targets.emplace_back(batch_tos_[i], batch_deltas_[i]);
+      const int32_t to = batch_tos_[i];
+      const bool admissible =
+          MoveSatisfiesConstraints(*partition_, area, from, to) &&
+          DonorKeepsContiguity(from, area);
+      inadmissible_verdicts_ += admissible ? 0 : 1;
+      targets.push_back({batch_deltas_[i], to, admissible});
     }
   }
-  live_ += static_cast<int64_t>(targets.size());
+  for (const Target& t : targets) live_ += t.admissible ? 1 : 0;
   return static_cast<int64_t>(batch);
+}
+
+bool TabuNeighborhood::DonorKeepsContiguity(int32_t from, int32_t area) {
+  const bool keeps = cut_cache_.DonorKeepsContiguity(from, area);
+  if (verify_cut_cache_ && status_.ok() &&
+      keeps != connectivity_->IsConnectedWithout(
+                   partition_->region(from).areas, area)) {
+    status_ = Status::Internal(
+        "articulation cache disagrees with BFS for area " +
+        std::to_string(area) + " leaving region " + std::to_string(from));
+  }
+  return keeps;
+}
+
+bool TabuNeighborhood::IsAdmissible(const CandidateMove& mv) {
+  return MoveSatisfiesConstraints(*partition_, mv.area, mv.from, mv.to) &&
+         cut_cache_.DonorKeepsContiguity(mv.from, mv.area);
 }
 
 void TabuNeighborhood::PushAreaEntries(int32_t area) {
   const uint32_t version = area_version_[static_cast<size_t>(area)];
-  for (const auto& [to, delta] : area_targets_[static_cast<size_t>(area)]) {
-    PushEntry({delta, area, to, version});
+  for (const Target& t : area_targets_[static_cast<size_t>(area)]) {
+    if (t.admissible) PushEntry({t.delta, area, t.to, version});
   }
 }
 
 int64_t TabuNeighborhood::Rebuild() {
   heap_.clear();
+  cut_cache_.InvalidateAll();
   int64_t scored = 0;
   for (int32_t a = 0; a < partition_->num_areas(); ++a) {
     scored += RescoreArea(a);
     const uint32_t version = area_version_[static_cast<size_t>(a)];
-    for (const auto& [to, delta] : area_targets_[static_cast<size_t>(a)]) {
-      heap_.push_back({delta, a, to, version});
+    for (const Target& t : area_targets_[static_cast<size_t>(a)]) {
+      if (t.admissible) heap_.push_back({t.delta, a, t.to, version});
     }
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapGreater());
@@ -126,14 +159,16 @@ int64_t TabuNeighborhood::Rebuild() {
 
 int64_t TabuNeighborhood::OnMoveApplied(int32_t area, int32_t from,
                                         int32_t to) {
-  // Affected areas: any area whose candidate set or deltas can have
-  // changed. A candidate (a, r_a, t) depends only on d_a plus the member
-  // multisets of r_a and t, and on a's adjacency to t — all unchanged
-  // unless r_a or t is one of the two mutated regions. Every such
+  // Affected areas: any area whose candidate set, deltas or verdicts can
+  // have changed. A candidate (a, r_a, t) depends only on d_a plus the
+  // member multisets of r_a and t, and on a's adjacency to t — all
+  // unchanged unless r_a or t is one of the two mutated regions. Every such
   // candidate belongs to a boundary area of `from`/`to` or to a foreign
   // area adjacent to one of them, and the moved area plus its whole graph
   // neighborhood is contained in that set (the donor keeps >= 1 member
   // adjacent to `area` by the contiguity precondition).
+  cut_cache_.Invalidate(from);
+  cut_cache_.Invalidate(to);
   const uint32_t epoch = NextEpoch(&area_seen_, &area_epoch_);
   affected_.clear();
   auto mark = [&](int32_t a) {
@@ -180,8 +215,8 @@ void TabuNeighborhood::CompactHeap() {
       heap_.size() <= 2 * static_cast<size_t>(live_)) {
     return;
   }
-  // Every live (area, to) pair sits in the heap exactly once, so dropping
-  // the stale entries in place is a full compaction.
+  // Every admissible (area, to) pair sits in the heap exactly once, so
+  // dropping the stale entries in place is a full compaction.
   heap_.erase(std::remove_if(
                   heap_.begin(), heap_.end(),
                   [this](const HeapEntry& e) { return !EntryLive(e); }),
@@ -224,6 +259,10 @@ void ArticulationCache::Invalidate(int32_t region_id) {
   if (static_cast<size_t>(region_id) < entries_.size()) {
     entries_[static_cast<size_t>(region_id)].valid = false;
   }
+}
+
+void ArticulationCache::InvalidateAll() {
+  for (Entry& entry : entries_) entry.valid = false;
 }
 
 }  // namespace emp

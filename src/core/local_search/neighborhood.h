@@ -3,14 +3,59 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/local_search/objective.h"
 #include "core/partition.h"
 #include "graph/connectivity.h"
 
 namespace emp {
+
+/// Per-region articulation-point cache for the local-search donor
+/// contiguity check (DESIGN.md §8). Tabu decides the verdict of many
+/// candidates donating from the same region; instead of one BFS per
+/// candidate (ConnectivityChecker::IsConnectedWithout), the cache runs
+/// Tarjan's articulation-point pass once per (region, mutation) and
+/// answers every subsequent query for that region with a binary search.
+/// A region's entry is invalidated when the region mutates (the caller
+/// invalidates both endpoints of every applied move).
+class ArticulationCache {
+ public:
+  /// Both pointers must outlive the cache.
+  ArticulationCache(const Partition* partition,
+                    ConnectivityChecker* connectivity);
+
+  /// True iff region `from` stays connected when `area` leaves it —
+  /// exactly ConnectivityChecker::IsConnectedWithout(region.areas, area),
+  /// including the degenerate cases (<= 2 members always survive; a
+  /// disconnected region falls back to the BFS, since removing a node can
+  /// reconnect it).
+  bool DonorKeepsContiguity(int32_t from, int32_t area);
+
+  /// Marks a region's cached articulation set stale after it mutated.
+  void Invalidate(int32_t region_id);
+
+  /// Marks every region stale.
+  void InvalidateAll();
+
+  /// Queries answered from a valid entry / entries recomputed.
+  int64_t hits() const { return hits_; }
+  int64_t misses() const { return misses_; }
+
+ private:
+  struct Entry {
+    bool valid = false;
+    bool connected = true;
+    std::vector<int32_t> cuts;  // sorted articulation points
+  };
+
+  const Partition* partition_;
+  ConnectivityChecker* connectivity_;
+  std::vector<Entry> entries_;  // indexed by raw region id
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+};
 
 /// One scored boundary move: `area` leaves region `from` for the adjacent
 /// region `to`, changing the objective by exactly `delta`.
@@ -36,31 +81,48 @@ inline bool CandidateOrderLess(const CandidateMove& a,
 /// Incremental candidate-move set for Tabu search (DESIGN.md §8).
 ///
 /// Maintains, for every assigned area of a donor-capable region (size > 1),
-/// the scored moves to each distinct adjacent foreign region. Candidates
+/// the scored moves to each distinct adjacent foreign region together with
+/// each move's admissibility verdict: MoveSatisfiesConstraints plus donor
+/// contiguity, decided once when the candidate is scored. Candidates
 /// persist across iterations: after a move `area: from -> to` only the
-/// areas whose candidate set or deltas can have changed — the boundary
-/// areas of `from` and `to` plus the foreign areas adjacent to either —
-/// are re-scored, instead of rebuilding the whole neighborhood.
+/// areas whose candidate set, deltas or verdicts can have changed — the
+/// boundary areas of `from` and `to` plus the foreign areas adjacent to
+/// either — are re-scored, instead of rebuilding the whole neighborhood.
 ///
-/// Selection runs over a lazy-deletion min-heap keyed by the canonical
-/// (delta, area, to) order; re-scoring an area bumps its version, which
-/// invalidates its stale heap entries without searching for them.
+/// Selection runs over a lazy-deletion min-heap of the ADMISSIBLE
+/// candidates only, keyed by the canonical (delta, area, to) order;
+/// re-scoring an area bumps its version, which invalidates its stale heap
+/// entries without searching for them.
 ///
 /// Invariants (pinned by neighborhood_test and the golden trajectory test):
-///  * after any sequence of OnMoveApplied calls, the live candidate set
-///    equals what Rebuild() would produce from scratch, deltas included
-///    bit-for-bit (unaffected candidates keep previously computed deltas,
-///    which are exact because their two regions' member multisets did not
-///    change);
-///  * VisitInOrder always yields candidates in canonical order.
+///  * after any sequence of OnMoveApplied calls, the candidate set and
+///    every verdict equal what Rebuild() would produce from scratch,
+///    deltas included bit-for-bit (unaffected candidates keep previously
+///    computed deltas and verdicts, which are exact because their two
+///    regions' members did not change);
+///  * VisitInOrder yields exactly the admissible candidates, in canonical
+///    order.
 class TabuNeighborhood {
  public:
-  /// `partition` and `objective` must outlive the neighborhood; the
-  /// objective must track the same partition.
-  TabuNeighborhood(const Partition* partition, const Objective* objective);
+  /// One candidate of an area's list: the target region, the exact
+  /// objective delta and the admissibility verdict.
+  struct Target {
+    double delta;
+    int32_t to;
+    bool admissible;
+  };
 
-  /// Rebuilds every per-area candidate list and the heap from scratch.
-  /// Returns the number of candidates scored (objective evaluations).
+  /// `partition`, `objective` and `connectivity` must outlive the
+  /// neighborhood; the objective must track the same partition. With
+  /// `verify_cut_cache` every donor-contiguity verdict is cross-checked
+  /// against the exact BFS; a disagreement is reported by status().
+  TabuNeighborhood(const Partition* partition, const Objective* objective,
+                   ConnectivityChecker* connectivity,
+                   bool verify_cut_cache = false);
+
+  /// Rebuilds every per-area candidate list, every verdict and the heap
+  /// from scratch (the articulation cache included). Returns the number
+  /// of candidates scored (objective evaluations).
   int64_t Rebuild();
 
   /// Incremental update after `area` moved `from` -> `to` (partition and
@@ -68,15 +130,36 @@ class TabuNeighborhood {
   /// returns the number of candidates scored.
   int64_t OnMoveApplied(int32_t area, int32_t from, int32_t to);
 
-  /// Number of live candidate moves.
+  /// Number of admissible candidate moves (the ones VisitInOrder yields).
   int64_t live_candidates() const { return live_; }
   bool empty() const { return live_ == 0; }
 
-  /// Visits live candidates in canonical order until `visit` returns false
-  /// (or the set is exhausted). Visited-but-declined candidates stay in
-  /// the structure. `visit` must not mutate the partition or objective;
-  /// apply the chosen move after VisitInOrder returns, then call
-  /// OnMoveApplied.
+  /// Admissibility of `mv` under the current partition, decided afresh
+  /// (constraints plus the articulation cache). Tabu re-checks its chosen
+  /// move with this; it must agree with the stored verdict.
+  bool IsAdmissible(const CandidateMove& mv);
+
+  /// Every scored candidate of `area`, admissible or not, in no
+  /// particular order.
+  const std::vector<Target>& targets_of(int32_t area) const {
+    return area_targets_[static_cast<size_t>(area)];
+  }
+
+  /// Inadmissible verdicts decided by rescoring so far (carried-over
+  /// verdicts are not decided again and not counted).
+  int64_t inadmissible_verdicts() const { return inadmissible_verdicts_; }
+
+  /// The donor-contiguity cache behind the verdicts.
+  const ArticulationCache& cut_cache() const { return cut_cache_; }
+
+  /// OK unless `verify_cut_cache` caught the cache disagreeing with BFS.
+  const Status& status() const { return status_; }
+
+  /// Visits admissible candidates in canonical order until `visit` returns
+  /// false (or the set is exhausted). Visited-but-declined candidates stay
+  /// in the structure. `visit` must not mutate the partition or
+  /// objective; apply the chosen move after VisitInOrder returns, then
+  /// call OnMoveApplied.
   template <typename Visitor>
   void VisitInOrder(Visitor&& visit) {
     popped_.clear();
@@ -129,12 +212,16 @@ class TabuNeighborhood {
   int64_t RescoreArea(int32_t area);
 
   /// Like RescoreArea, but when `mutated_a/b` name the two regions the
-  /// triggering move touched, deltas of candidates with both endpoints
-  /// untouched are carried over from the old list (bit-exact) instead of
-  /// re-evaluating the objective. Full rescore when mutated_a == -1.
+  /// triggering move touched, deltas and verdicts of candidates with both
+  /// endpoints untouched are carried over from the old list (bit-exact)
+  /// instead of being decided again. Full rescore when mutated_a == -1.
   int64_t RescoreAreaImpl(int32_t area, int32_t mutated_a, int32_t mutated_b);
 
-  /// Pushes `area`'s current candidate list onto the heap.
+  /// Donor-contiguity verdict from the cache, cross-checked against the
+  /// BFS when `verify_cut_cache_` is set.
+  bool DonorKeepsContiguity(int32_t from, int32_t area);
+
+  /// Pushes `area`'s admissible candidates onto the heap.
   void PushAreaEntries(int32_t area);
 
   /// Drops stale entries by rebuilding the heap from the per-area lists.
@@ -142,12 +229,17 @@ class TabuNeighborhood {
 
   const Partition* partition_;
   const Objective* objective_;
+  ConnectivityChecker* connectivity_;
+  ArticulationCache cut_cache_;
+  bool verify_cut_cache_;
+  Status status_;
 
-  /// Per-area candidate state: version + (to, delta) pairs.
+  /// Per-area candidate state: version + target list.
   std::vector<uint32_t> area_version_;
-  std::vector<std::vector<std::pair<int32_t, double>>> area_targets_;
+  std::vector<std::vector<Target>> area_targets_;
   std::vector<HeapEntry> heap_;
   int64_t live_ = 0;
+  int64_t inadmissible_verdicts_ = 0;
 
   // Epoch-tagged scratch (no clearing between uses; a wrap resets tags).
   std::vector<uint32_t> region_seen_;
@@ -156,54 +248,13 @@ class TabuNeighborhood {
   uint32_t area_epoch_ = 0;
   std::vector<int32_t> affected_;   // reused affected-area buffer
   std::vector<HeapEntry> popped_;   // reused by VisitInOrder
-  // Previous target list of the area being rescored (delta reuse).
-  std::vector<std::pair<int32_t, double>> old_targets_;
+  // Previous target list of the area being rescored (delta and verdict
+  // reuse).
+  std::vector<Target> old_targets_;
   // Batched-rescore buffers: target regions needing fresh deltas and the
   // deltas from one Objective::MoveDeltas call (reused across rescoring).
   std::vector<int32_t> batch_tos_;
   std::vector<double> batch_deltas_;
-};
-
-/// Per-region articulation-point cache for the local-search donor
-/// contiguity check (DESIGN.md §8). A Tabu iteration may try many
-/// candidates donating from the same region; instead of one BFS per
-/// candidate (ConnectivityChecker::IsConnectedWithout), the cache runs
-/// Tarjan's articulation-point pass once per (region, mutation) and
-/// answers every subsequent query for that region with a binary search.
-/// A region's entry is invalidated when the region mutates (the caller
-/// invalidates both endpoints of every applied move).
-class ArticulationCache {
- public:
-  /// Both pointers must outlive the cache.
-  ArticulationCache(const Partition* partition,
-                    ConnectivityChecker* connectivity);
-
-  /// True iff region `from` stays connected when `area` leaves it —
-  /// exactly ConnectivityChecker::IsConnectedWithout(region.areas, area),
-  /// including the degenerate cases (<= 2 members always survive; a
-  /// disconnected region falls back to the BFS, since removing a node can
-  /// reconnect it).
-  bool DonorKeepsContiguity(int32_t from, int32_t area);
-
-  /// Marks a region's cached articulation set stale after it mutated.
-  void Invalidate(int32_t region_id);
-
-  /// Queries answered from a valid entry / entries recomputed.
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    bool valid = false;
-    bool connected = true;
-    std::vector<int32_t> cuts;  // sorted articulation points
-  };
-
-  const Partition* partition_;
-  ConnectivityChecker* connectivity_;
-  std::vector<Entry> entries_;  // indexed by raw region id
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
 };
 
 }  // namespace emp

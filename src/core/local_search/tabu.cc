@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "core/local_search/assignment_snapshot.h"
 #include "core/local_search/heterogeneity.h"
-#include "core/local_search/move.h"
 #include "core/local_search/neighborhood.h"
 #include "core/local_search/objective.h"
 #include "obs/curve.h"
@@ -77,19 +76,18 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   obs::ProgressBoard* board =
       run_ctx != nullptr ? run_ctx->progress_board : nullptr;
   int64_t tabu_rejected = 0;
-  int64_t invalid_rejected = 0;
   constexpr int64_t kEpochIterations = 256;
   std::optional<obs::ScopedSpan> epoch_span;
   Stopwatch search_timer;
 
   // Neighborhood engine. The incremental engine builds the candidate set
   // once and re-scores only what each move touches; the full-rebuild
-  // engine re-scores everything at the top of every iteration. Both feed
-  // the same canonical-order selection below.
-  TabuNeighborhood neighborhood(partition, objective);
-  ArticulationCache cut_cache(partition, connectivity);
+  // engine re-scores everything at the top of every iteration. Both decide
+  // each candidate's admissibility (constraints + donor contiguity) when
+  // they score it and feed the same canonical-order selection below.
+  TabuNeighborhood neighborhood(partition, objective, connectivity,
+                                options.tabu_verify_connectivity_cache);
   int64_t pending_scored = incremental ? neighborhood.Rebuild() : 0;
-  Status verify_failure = Status::OK();
 
   while (no_improve < max_no_improve &&
          (options.tabu_max_iterations < 0 ||
@@ -114,16 +112,17 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     const int64_t scored =
         incremental ? pending_scored : neighborhood.Rebuild();
     pending_scored = 0;
-    if (neighborhood.empty()) break;
+    if (!neighborhood.status().ok()) return neighborhood.status();
     result.candidates_scored += scored;
     // Each scored candidate is one objective evaluation against the
     // budget; the trip takes effect at the next iteration's checkpoint.
     if (supervisor != nullptr && supervisor->Check(scored)) break;
+    // No admissible move in the whole neighborhood.
+    if (neighborhood.empty()) break;
 
     // Take the best admissible candidate in canonical (delta, area, to)
-    // order: non-tabu, or tabu but beating the incumbent (aspiration).
-    // Validity (constraints + contiguity) is checked lazily in that order
-    // because it is the expensive part.
+    // order that is non-tabu, or tabu but beating the incumbent
+    // (aspiration). The heap holds admissible candidates only.
     std::optional<CandidateMove> chosen;
     neighborhood.VisitInOrder([&](const CandidateMove& mv) {
       ++result.moves_tried;
@@ -132,47 +131,26 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
         ++tabu_rejected;
         return true;
       }
-      if (!MoveSatisfiesConstraints(*partition, mv.area, mv.from, mv.to)) {
-        ++invalid_rejected;
-        return true;
-      }
-      bool donor_ok;
-      if (incremental) {
-        donor_ok = cut_cache.DonorKeepsContiguity(mv.from, mv.area);
-        if (options.tabu_verify_connectivity_cache) {
-          const bool bfs_ok = connectivity->IsConnectedWithout(
-              partition->region(mv.from).areas, mv.area);
-          if (bfs_ok != donor_ok) {
-            verify_failure = Status::Internal(
-                "articulation cache disagrees with BFS for area " +
-                std::to_string(mv.area) + " leaving region " +
-                std::to_string(mv.from));
-            return false;
-          }
-        }
-      } else {
-        donor_ok = connectivity->IsConnectedWithout(
-            partition->region(mv.from).areas, mv.area);
-      }
-      if (!donor_ok) {
-        ++invalid_rejected;
-        return true;
-      }
       chosen = mv;
       return false;
     });
-    if (!verify_failure.ok()) return verify_failure;
-    if (!chosen.has_value()) break;  // No admissible move in the whole
-                                     // neighborhood.
+    if (!chosen.has_value()) break;  // Every admissible move is tabu.
+    // The stored verdict must still hold (DESIGN.md §8): one O(1)
+    // re-check of the chosen move guards the affected-set argument.
+    if (!neighborhood.IsAdmissible(*chosen)) {
+      return Status::Internal(
+          "stale admissibility verdict for area " +
+          std::to_string(chosen->area) + " moving " +
+          std::to_string(chosen->from) + " -> " + std::to_string(chosen->to));
+    }
 
     // Apply. Objectives record the move BEFORE the partition mutates.
     const CandidateMove mv = *chosen;
     tracker.ApplyMove(mv.area, mv.from, mv.to);
     partition->Move(mv.area, mv.to);
-    cut_cache.Invalidate(mv.from);
-    cut_cache.Invalidate(mv.to);
     if (incremental) {
       pending_scored = neighborhood.OnMoveApplied(mv.area, mv.from, mv.to);
+      if (!neighborhood.status().ok()) return neighborhood.status();
     }
     ++result.moves_applied;
     if (options.tabu_record_trajectory) {
@@ -206,8 +184,8 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   epoch_span.reset();
   RestoreAssignment(best_assignment, partition);
   result.final_heterogeneity = best_total;
-  result.cut_cache_hits = cut_cache.hits();
-  result.cut_cache_misses = cut_cache.misses();
+  result.cut_cache_hits = neighborhood.cut_cache().hits();
+  result.cut_cache_misses = neighborhood.cut_cache().misses();
   if (supervisor != nullptr && supervisor->tripped().has_value()) {
     result.termination = *supervisor->tripped();
   }
@@ -216,12 +194,19 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
           run_ctx != nullptr ? run_ctx->metrics : nullptr;
       metrics != nullptr) {
     metrics->GetCounter("emp_tabu_iterations_total")->Add(result.iterations);
-    metrics->GetCounter("emp_tabu_moves_tried_total")->Add(result.moves_tried);
+    metrics
+        ->GetCounter("emp_tabu_moves_tried_total",
+                     "Admissible tabu candidates visited by move selection.")
+        ->Add(result.moves_tried);
     metrics->GetCounter("emp_tabu_moves_applied_total")
         ->Add(result.moves_applied);
     metrics->GetCounter("emp_tabu_moves_tabu_rejected_total")
         ->Add(tabu_rejected);
-    metrics->GetCounter("emp_tabu_moves_invalid_total")->Add(invalid_rejected);
+    metrics
+        ->GetCounter("emp_tabu_moves_invalid_total",
+                     "Inadmissible verdicts (constraints or donor "
+                     "contiguity) decided when tabu candidates are scored.")
+        ->Add(neighborhood.inadmissible_verdicts());
     metrics->GetCounter("emp_tabu_improving_moves_total")
         ->Add(result.improving_moves);
     metrics->GetCounter("emp_tabu_candidates_rescored_total")

@@ -30,15 +30,17 @@ struct TabuResult {
   int64_t iterations = 0;
   int64_t moves_applied = 0;
   int64_t improving_moves = 0;
-  /// Candidates examined by the selection loop (incl. rejected ones).
+  /// Admissible candidates visited by the selection loop (incl. the ones
+  /// rejected as tabu).
   int64_t moves_tried = 0;
   /// Objective MoveDelta evaluations performed by the neighborhood engine
   /// — the full neighborhood per iteration under TabuEngine::kFullRebuild,
   /// only the re-scored candidates under kIncremental.
   int64_t candidates_scored = 0;
   /// Donor-contiguity queries answered from the articulation cache /
-  /// requiring a Tarjan recomputation (kIncremental only; kFullRebuild
-  /// leaves both 0 and pays one BFS per tried candidate instead).
+  /// requiring a Tarjan recomputation. Both engines decide verdicts
+  /// through the cache; kFullRebuild invalidates all of it on every
+  /// rebuild, kIncremental only the two regions each move mutates.
   int64_t cut_cache_hits = 0;
   int64_t cut_cache_misses = 0;
 
@@ -75,10 +77,12 @@ class Objective;
 /// move sequence is a pure function of the instance and options —
 /// independent of the neighborhood engine (options.tabu_engine): the
 /// default incremental engine re-scores only candidates incident to the
-/// two regions mutated by each move and answers donor contiguity from a
-/// per-region articulation-point cache, while kFullRebuild re-enumerates
-/// everything per iteration. Bit-identical trajectories across engines are
-/// pinned by tabu_golden_test; see DESIGN.md §8.
+/// two regions mutated by each move, while kFullRebuild re-enumerates
+/// everything per iteration. Either way a candidate's admissibility is
+/// decided when it is scored (donor contiguity from a per-region
+/// articulation-point cache) and selection visits admissible candidates
+/// only. Bit-identical trajectories across engines are pinned by
+/// tabu_golden_test; see DESIGN.md §8.
 ///
 /// `objective` selects the minimized function; null means the paper's
 /// heterogeneity H(P) (the TabuResult fields then really are

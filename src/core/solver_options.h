@@ -86,9 +86,10 @@ struct SolverOptions {
   /// and ablation.
   TabuEngine tabu_engine = TabuEngine::kIncremental;
 
-  /// Debug flag: cross-check every cached donor-contiguity answer against
-  /// the exact BFS; a disagreement aborts the search with an internal
-  /// error. Off by default (it re-adds the BFS the cache exists to skip).
+  /// Debug flag: cross-check every cached donor-contiguity verdict against
+  /// the exact BFS when its candidate is scored; a disagreement aborts the
+  /// search with an internal error. Off by default (it re-adds the BFS the
+  /// cache exists to skip).
   bool tabu_verify_connectivity_cache = false;
 
   /// Record every applied move into TabuResult::trajectory. Used by the

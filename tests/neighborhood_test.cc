@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -52,6 +53,41 @@ void ExpectSameCandidates(const std::vector<CandidateMove>& incremental,
   }
 }
 
+/// Every scored candidate of every area with its verdict, sorted by
+/// (area, to): the full state behind the heap.
+struct Verdict {
+  int32_t area;
+  int32_t to;
+  double delta;
+  bool admissible;
+};
+
+std::vector<Verdict> Verdicts(const TabuNeighborhood& nbhd,
+                              int32_t num_areas) {
+  std::vector<Verdict> out;
+  for (int32_t a = 0; a < num_areas; ++a) {
+    for (const TabuNeighborhood::Target& t : nbhd.targets_of(a)) {
+      out.push_back({a, t.to, t.delta, t.admissible});
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const Verdict& x, const Verdict& y) {
+    return x.area != y.area ? x.area < y.area : x.to < y.to;
+  });
+  return out;
+}
+
+void ExpectSameVerdicts(const std::vector<Verdict>& incremental,
+                        const std::vector<Verdict>& fresh) {
+  ASSERT_EQ(incremental.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(incremental[i].area, fresh[i].area) << "candidate " << i;
+    EXPECT_EQ(incremental[i].to, fresh[i].to) << "candidate " << i;
+    EXPECT_EQ(incremental[i].delta, fresh[i].delta) << "candidate " << i;
+    EXPECT_EQ(incremental[i].admissible, fresh[i].admissible)
+        << "area " << fresh[i].area << " -> region " << fresh[i].to;
+  }
+}
+
 TEST(TabuNeighborhoodTest, RebuildYieldsCanonicalOrder) {
   AreaSet areas = test::MakeAreaSet(
       test::GridGraph(3, 3), {{"s", {4, 4, 1, 4, 2, 2, 7, 7, 2}}});
@@ -64,22 +100,36 @@ TEST(TabuNeighborhoodTest, RebuildYieldsCanonicalOrder) {
   for (int32_t a : {6, 7, 8}) setup.partition.Assign(a, r2);
 
   HeterogeneityObjective objective(setup.partition);
-  TabuNeighborhood nbhd(&setup.partition, &objective);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
   const int64_t scored = nbhd.Rebuild();
   std::vector<CandidateMove> dump = Dump(&nbhd);
-  EXPECT_EQ(static_cast<int64_t>(dump.size()), scored);
-  EXPECT_EQ(nbhd.live_candidates(), scored);
+  EXPECT_EQ(nbhd.live_candidates(), static_cast<int64_t>(dump.size()));
   for (size_t i = 1; i < dump.size(); ++i) {
     EXPECT_TRUE(CandidateOrderLess(dump[i - 1], dump[i]))
         << "out of order at " << i;
   }
   // Every boundary area of every (size > 1) region contributes one
-  // candidate per distinct adjacent foreign region.
+  // candidate per distinct adjacent foreign region; the heap yields
+  // exactly the admissible ones. Each row region is a 3-area path, so
+  // its middle area is a cut vertex and can never donate.
+  const std::vector<Verdict> verdicts = Verdicts(nbhd, 9);
+  EXPECT_EQ(static_cast<int64_t>(verdicts.size()), scored);
+  int64_t admissible = 0;
+  for (const Verdict& v : verdicts) {
+    const int32_t from = setup.partition.RegionOf(v.area);
+    EXPECT_NE(from, v.to);
+    EXPECT_DOUBLE_EQ(v.delta, objective.MoveDelta(v.area, from, v.to));
+    EXPECT_EQ(v.admissible,
+              ConstraintPreservingMove(setup.partition, &setup.connectivity,
+                                       v.area, from, v.to))
+        << "area " << v.area << " -> region " << v.to;
+    EXPECT_EQ(v.admissible, v.area % 3 != 1) << "area " << v.area;
+    admissible += v.admissible ? 1 : 0;
+  }
+  EXPECT_EQ(admissible, static_cast<int64_t>(dump.size()));
+  EXPECT_EQ(nbhd.inadmissible_verdicts(), scored - admissible);
   for (const CandidateMove& mv : dump) {
     EXPECT_EQ(setup.partition.RegionOf(mv.area), mv.from);
-    EXPECT_NE(mv.from, mv.to);
-    EXPECT_DOUBLE_EQ(mv.delta,
-                     objective.MoveDelta(mv.area, mv.from, mv.to));
   }
 }
 
@@ -92,7 +142,7 @@ TEST(TabuNeighborhoodTest, VisitingDoesNotConsumeCandidates) {
   for (int32_t a : {3, 4, 5}) setup.partition.Assign(a, r1);
 
   HeterogeneityObjective objective(setup.partition);
-  TabuNeighborhood nbhd(&setup.partition, &objective);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
   nbhd.Rebuild();
   std::vector<CandidateMove> first = Dump(&nbhd);
   std::vector<CandidateMove> second = Dump(&nbhd);
@@ -122,32 +172,107 @@ TEST(TabuNeighborhoodTest, IncrementalMatchesFreshRebuildAfterEachMove) {
   }
 
   HeterogeneityObjective objective(setup.partition);
-  TabuNeighborhood nbhd(&setup.partition, &objective);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
   nbhd.Rebuild();
 
   Rng rng(123);
-  int applied = 0;
-  for (int step = 0; step < 200 && applied < 40; ++step) {
-    // Sample any candidate, keep it only if it is a legal Tabu move.
+  for (int applied = 0; applied < 40; ++applied) {
+    // Every candidate the heap yields is a legal Tabu move; apply a random
+    // one.
     std::vector<CandidateMove> all = Dump(&nbhd);
     ASSERT_FALSE(all.empty());
     const CandidateMove mv = all[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(all.size()) - 1))];
-    if (!ConstraintPreservingMove(setup.partition, &setup.connectivity,
-                                  mv.area, mv.from, mv.to)) {
-      continue;
-    }
+    ASSERT_TRUE(ConstraintPreservingMove(setup.partition, &setup.connectivity,
+                                         mv.area, mv.from, mv.to));
     objective.ApplyMove(mv.area, mv.from, mv.to);
     setup.partition.Move(mv.area, mv.to);
     nbhd.OnMoveApplied(mv.area, mv.from, mv.to);
-    ++applied;
 
-    TabuNeighborhood fresh(&setup.partition, &objective);
+    TabuNeighborhood fresh(&setup.partition, &objective,
+                           &setup.connectivity);
     fresh.Rebuild();
     ExpectSameCandidates(Dump(&nbhd), Dump(&fresh));
+    ExpectSameVerdicts(Verdicts(nbhd, 25), Verdicts(fresh, 25));
     EXPECT_EQ(nbhd.live_candidates(), fresh.live_candidates());
   }
-  EXPECT_GE(applied, 20);
+}
+
+TEST(TabuNeighborhoodTest, EnrichedVerdictsMatchFreshRebuildAfterEachMove) {
+  // MIN + AVG + SUM on a 6x6 grid in four 3x3 quadrants, with bounds taken
+  // from the quadrants so the start is feasible and tight: most candidates
+  // are constraint-rejected, as under the paper's enriched queries. After
+  // every applied move the heap-eligible set and every stored verdict must
+  // equal a from-scratch rebuild, and each verdict must match the exact
+  // constraint + BFS check.
+  const std::vector<double> m = {5, 3, 8, 6, 2, 7, 4, 9, 1, 3, 8, 5,
+                                 7, 2, 6, 9, 4, 1, 3, 8, 5, 2, 7, 6,
+                                 9, 1, 4, 8, 3, 5, 2, 6, 7, 1, 9, 4};
+  const std::vector<double> v = {12, 18, 15, 20, 11, 14, 16, 13, 19,
+                                 17, 12, 15, 14, 20, 11, 13, 18, 16,
+                                 15, 13, 17, 12, 19, 14, 18, 11, 16,
+                                 20, 15, 13, 11, 17, 14, 16, 12, 18};
+  const std::vector<double> s = {30, 12, 25, 8, 40, 22, 18, 35, 10,
+                                 27, 15, 33, 21, 9, 38, 14, 29, 24,
+                                 11, 36, 19, 31, 7, 26, 34, 16, 23,
+                                 13, 28, 20, 39, 17, 32, 6, 37, 25};
+  AreaSet areas = test::MakeAreaSet(test::GridGraph(6, 6),
+                                    {{"m", m}, {"v", v}, {"s", s}}, "v");
+  auto quadrant = [](int32_t a) { return (a / 18) * 2 + (a % 6) / 3; };
+  std::vector<double> q_min(4, 1e9), q_avg(4, 0), q_sum(4, 0);
+  for (int32_t a = 0; a < 36; ++a) {
+    const size_t q = static_cast<size_t>(quadrant(a));
+    q_min[q] = std::min(q_min[q], m[static_cast<size_t>(a)]);
+    q_avg[q] += v[static_cast<size_t>(a)] / 9.0;
+    q_sum[q] += s[static_cast<size_t>(a)];
+  }
+  NeighborhoodSetup setup(
+      &areas,
+      {Constraint::Min("m", kNoLowerBound,
+                       *std::max_element(q_min.begin(), q_min.end())),
+       Constraint::Avg("v", *std::min_element(q_avg.begin(), q_avg.end()) - 1,
+                       *std::max_element(q_avg.begin(), q_avg.end()) + 1),
+       Constraint::Sum("s", *std::min_element(q_sum.begin(), q_sum.end()) - 20,
+                       kNoUpperBound)});
+  std::vector<int32_t> rids;
+  for (int i = 0; i < 4; ++i) rids.push_back(setup.partition.CreateRegion());
+  for (int32_t a = 0; a < 36; ++a) {
+    setup.partition.Assign(a, rids[static_cast<size_t>(quadrant(a))]);
+  }
+
+  HeterogeneityObjective objective(setup.partition);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity,
+                        /*verify_cut_cache=*/true);
+  nbhd.Rebuild();
+
+  Rng rng(11);
+  int applied = 0;
+  for (; applied < 40; ++applied) {
+    std::vector<CandidateMove> all = Dump(&nbhd);
+    if (all.empty()) break;
+    const CandidateMove mv = all[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(all.size()) - 1))];
+    objective.ApplyMove(mv.area, mv.from, mv.to);
+    setup.partition.Move(mv.area, mv.to);
+    nbhd.OnMoveApplied(mv.area, mv.from, mv.to);
+    ASSERT_TRUE(nbhd.status().ok()) << nbhd.status().ToString();
+
+    TabuNeighborhood fresh(&setup.partition, &objective,
+                           &setup.connectivity);
+    fresh.Rebuild();
+    ExpectSameCandidates(Dump(&nbhd), Dump(&fresh));
+    const std::vector<Verdict> verdicts = Verdicts(nbhd, 36);
+    ExpectSameVerdicts(verdicts, Verdicts(fresh, 36));
+    for (const Verdict& verdict : verdicts) {
+      ASSERT_EQ(verdict.admissible,
+                ConstraintPreservingMove(
+                    setup.partition, &setup.connectivity, verdict.area,
+                    setup.partition.RegionOf(verdict.area), verdict.to))
+          << "move " << applied << " area " << verdict.area;
+    }
+  }
+  EXPECT_GE(applied, 10);
+  EXPECT_GT(nbhd.inadmissible_verdicts(), 0);
 }
 
 TEST(TabuNeighborhoodTest, DonorCapabilityTransitions) {
@@ -164,14 +289,15 @@ TEST(TabuNeighborhoodTest, DonorCapabilityTransitions) {
   for (int32_t a : {2, 3}) setup.partition.Assign(a, r1);
 
   HeterogeneityObjective objective(setup.partition);
-  TabuNeighborhood nbhd(&setup.partition, &objective);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
   nbhd.Rebuild();
 
   auto apply = [&](int32_t area, int32_t from, int32_t to) {
     objective.ApplyMove(area, from, to);
     setup.partition.Move(area, to);
     nbhd.OnMoveApplied(area, from, to);
-    TabuNeighborhood fresh(&setup.partition, &objective);
+    TabuNeighborhood fresh(&setup.partition, &objective,
+                           &setup.connectivity);
     fresh.Rebuild();
     ExpectSameCandidates(Dump(&nbhd), Dump(&fresh));
   };
@@ -267,7 +393,7 @@ TEST(ArticulationCacheTest, RandomizedAgreementUnderMutation) {
   }
 
   HeterogeneityObjective objective(setup.partition);
-  TabuNeighborhood nbhd(&setup.partition, &objective);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
   nbhd.Rebuild();
   ArticulationCache cache(&setup.partition, &setup.connectivity);
   Rng rng(7);

@@ -374,10 +374,12 @@ TEST(SolveServiceHttpTest, CancelOverHttpGoesTerminal) {
   Stack stack = StartStack();
   ASSERT_NE(stack.server, nullptr);
 
-  // A long-running job on the 2k instance; cancel it right away.
+  // A job on the 2k instance that tabu keeps running until cancelled (a
+  // no-improve limit it never reaches); cancel it right away.
   const std::string response = HttpCall(
       stack.port, "POST", "/solve",
-      "{\"instance\": \"2k\", \"query\": \"SUM(TOTALPOP) >= 10000\"}");
+      "{\"instance\": \"2k\", \"query\": \"SUM(TOTALPOP) >= 10000\", "
+      "\"options\": {\"tabu_max_no_improve\": 1099511627776}}");
   ASSERT_EQ(StatusLineOf(response), "HTTP/1.1 202 Accepted");
   const int64_t id = JobIdOf(BodyOf(response));
 
@@ -554,29 +556,39 @@ TEST(SolveServiceHttpTest, StatsCountsRejectionsAndCancellations) {
   Stack stack = StartStack(std::move(options));
   ASSERT_NE(stack.server, nullptr);
 
-  // One long job occupies the worker, one sits in the queue; the next
-  // submission overflows and is rejected.
+  // One job occupies the worker until cancelled (tabu never reaches its
+  // no-improve limit), one sits in the queue; the next submission
+  // overflows and is rejected.
   const std::string long_body =
-      "{\"instance\": \"2k\", \"query\": \"SUM(TOTALPOP) >= 10000\"}";
+      "{\"instance\": \"2k\", \"query\": \"SUM(TOTALPOP) >= 10000\", "
+      "\"options\": {\"tabu_max_no_improve\": 1099511627776}}";
   const std::string first =
       HttpCall(stack.port, "POST", "/solve", long_body);
   ASSERT_EQ(StatusLineOf(first), "HTTP/1.1 202 Accepted");
   const int64_t first_id = JobIdOf(BodyOf(first));
+  // Wait for the worker to take the first job off the queue, so the
+  // second one is queued rather than refused.
+  std::string state = "queued";
+  for (int i = 0; i < 600 && state == "queued"; ++i) {
+    auto doc = json::Parse(BodyOf(HttpCall(
+        stack.port, "GET", "/jobs/" + std::to_string(first_id))));
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    state = doc->Find("state")->AsString();
+    if (state == "queued") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ASSERT_EQ(state, "running");
   const std::string second =
       HttpCall(stack.port, "POST", "/solve", long_body);
-  ASSERT_EQ(StatusLineOf(second), "HTTP/1.1 202 Accepted");
+  ASSERT_EQ(StatusLineOf(second), "HTTP/1.1 202 Accepted") << second;
   const int64_t second_id = JobIdOf(BodyOf(second));
   const std::string third =
       HttpCall(stack.port, "POST", "/solve", long_body);
-  // The first job may have finished before the third arrived, in which
-  // case it was admitted rather than refused — drain it like the others.
-  const bool saw_reject =
-      StatusLineOf(third) == "HTTP/1.1 429 Too Many Requests";
-  const int64_t third_id = saw_reject ? -1 : JobIdOf(BodyOf(third));
+  EXPECT_EQ(StatusLineOf(third), "HTTP/1.1 429 Too Many Requests");
 
-  // Cancel every accepted job and drain.
-  for (int64_t id : {first_id, second_id, third_id}) {
-    if (id < 0) continue;
+  // Cancel both accepted jobs and drain.
+  for (int64_t id : {first_id, second_id}) {
     HttpCall(stack.port, "POST",
              "/jobs/" + std::to_string(id) + "/cancel");
     ASSERT_TRUE(PollTerminal(stack.port, id).ok());
@@ -588,13 +600,9 @@ TEST(SolveServiceHttpTest, StatsCountsRejectionsAndCancellations) {
   const json::Value* jobs = stats->Find("jobs");
   // Every admitted or refused job is recorded exactly once.
   EXPECT_EQ(jobs->Find("recorded")->AsNumber(), 3);
-  if (saw_reject) {
-    EXPECT_GE(jobs->Find("rejected")->AsNumber(), 1);
-    EXPECT_GT(stats->Find("rates")->Find("rejection")->AsNumber(), 0.0);
-  }
-  EXPECT_GE(jobs->Find("cancelled")->AsNumber() +
-                jobs->Find("done")->AsNumber(),
-            2.0);
+  EXPECT_EQ(jobs->Find("rejected")->AsNumber(), 1);
+  EXPECT_GT(stats->Find("rates")->Find("rejection")->AsNumber(), 0.0);
+  EXPECT_EQ(jobs->Find("cancelled")->AsNumber(), 2);
 }
 
 TEST(SolveServiceHttpTest, ParseSolveRequestMapsAllFields) {

@@ -17,6 +17,8 @@ Policy (tuned for shared CI runners):
   * A "-" cell, a missing row key, or a missing file is a MISSING
     measurement: skipped with a warning, never compared against zero.
     Smoke runs legitimately emit "-" for the large catalog entries.
+  * The core count each table ran on ("nproc", "-" when a table predates
+    it) is printed beside the delta table and never compared.
 
 The delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, is
 appended there as markdown. Baselines are refreshed with
@@ -37,6 +39,7 @@ TABLE_METRICS = {
         "metrics": [
             ("incremental_us", "lower", "absolute"),
             ("full_us", "lower", "absolute"),
+            ("select_us", "lower", "absolute"),
             ("speedup", "higher", "ratio"),
         ],
     },
@@ -83,7 +86,8 @@ def parse_cell(cell):
 
 
 def load_table(path):
-    """{row_key: {column: cell}} from one BENCH_*.json, or None."""
+    """{"columns", "rows": {row_key: {column: cell}}, "nproc"} from one
+    BENCH_*.json, or None."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -95,11 +99,12 @@ def load_table(path):
         cells = dict(zip(columns, row))
         if columns and columns[0] in cells:
             rows[row[0]] = cells
-    return {"columns": columns, "rows": rows}
+    return {"columns": columns, "rows": rows, "nproc": doc.get("nproc")}
 
 
 def compare(args):
     results = []  # (table, row, metric, kind, base, cur, delta_pct, level)
+    cores = []  # (table, baseline nproc, current nproc)
     warnings = []
     failures = []
     strict = os.environ.get("EMP_RATCHET_STRICT") == "1"
@@ -116,6 +121,7 @@ def compare(args):
         if cur is None:
             warnings.append(f"{name}: no current measurement — skipped")
             continue
+        cores.append((table_id, base["nproc"], cur["nproc"]))
         for row_key, base_cells in base["rows"].items():
             cur_cells = cur["rows"].get(row_key)
             if cur_cells is None:
@@ -164,10 +170,10 @@ def compare(args):
                         f"regressed {delta * 100.0:+.1f}%")
                 results.append((table_id, row_key, metric, kind, base_v,
                                 cur_v, delta, level))
-    return results, warnings, failures
+    return results, cores, warnings, failures
 
 
-def render(results, warnings, failures):
+def render(results, cores, warnings, failures):
     header = ["table", "row", "metric", "kind", "baseline", "current",
               "delta", "status"]
     lines = []
@@ -180,6 +186,10 @@ def render(results, warnings, failures):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
+    core_line = "nproc (baseline/current): " + ", ".join(
+        f"{t} {'-' if b is None else b}/{'-' if c is None else c}"
+        for t, b, c in cores)
+    lines.append(core_line)
     text = "\n".join(lines)
 
     md = ["### Perf ratchet: bench vs committed baselines", "",
@@ -187,6 +197,8 @@ def render(results, warnings, failures):
           "|" + "|".join("---" for _ in header) + "|"]
     for row in rows[1:]:
         md.append("| " + " | ".join(row) + " |")
+    md.append("")
+    md.append(core_line)
     if warnings:
         md.append("")
         md.append("**Warnings**")
@@ -206,8 +218,8 @@ def main():
     parser.add_argument("--warn-threshold", type=float, default=0.10)
     args = parser.parse_args()
 
-    results, warnings, failures = compare(args)
-    text, md = render(results, warnings, failures)
+    results, cores, warnings, failures = compare(args)
+    text, md = render(results, cores, warnings, failures)
     print(text)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
