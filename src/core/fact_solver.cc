@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
@@ -17,12 +16,9 @@
 #include "core/local_search/heterogeneity.h"
 #include "core/partition.h"
 #include "core/portfolio.h"
+#include "core/run_events.h"
 #include "graph/connectivity.h"
-#include "obs/curve.h"
-#include "obs/http_server.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace emp {
@@ -48,79 +44,19 @@ Result<FactSolver> FactSolver::Create(const AreaSet* areas,
   return FactSolver(areas, std::move(constraints), options);
 }
 
-Result<Solution> FactSolver::Solve() {
-  RunContext ctx = MakeRunContext(options_);
-  if (options_.serve_port < 0) return Solve(ctx);
-  // serve_port requested on the no-context entry point: stand up a
-  // self-contained observability plane (registry + board + HTTP server)
-  // for the duration of the solve. None of it touches the RNG or the
-  // algorithms, so the solution is bit-identical with and without it.
-  obs::MetricRegistry metrics;
-  obs::ProgressBoard board;
-  ctx.metrics = &metrics;
-  ctx.progress_board = &board;
-  obs::HttpServer::Options server_options;
-  server_options.port = options_.serve_port;
-  server_options.metrics = &metrics;
-  server_options.progress = &board;
-  EMP_ASSIGN_OR_RETURN(std::unique_ptr<obs::HttpServer> server,
-                       obs::HttpServer::Start(server_options));
-  Result<Solution> result = Solve(ctx);
-  server->Stop();
-  return result;
-}
-
 Result<Solution> FactSolver::Solve(const RunContext& ctx) {
   EMP_RETURN_IF_ERROR(ValidateSolverOptions(options_));
   if (areas_ == nullptr) {
     return Status::InvalidArgument("FactSolver: null area set");
   }
 
-  obs::ProgressBoard* board = ctx.progress_board;
-  if (board != nullptr) {
-    board->SetBudgets(options_.time_budget_ms, options_.max_evaluations);
-    board->SetPhase("solve");
-  }
-  obs::RunJournal* journal = ctx.journal;
-  if (journal != nullptr) {
-    journal->Append("run_start", [&](JsonWriter& w) {
-      w.Key("seed");
-      w.Int(static_cast<int64_t>(options_.seed));
-      w.Key("construction_iterations");
-      w.Int(options_.construction_iterations);
-      w.Key("construction_threads");
-      w.Int(options_.construction_threads);
-      w.Key("run_local_search");
-      w.Bool(options_.run_local_search);
-      w.Key("tabu_engine");
-      w.String(options_.tabu_engine == TabuEngine::kIncremental
-                   ? "incremental"
-                   : "full-rebuild");
-      w.Key("portfolio_replicas");
-      w.Int(options_.portfolio_replicas);
-      w.Key("time_budget_ms");
-      w.Int(options_.time_budget_ms);
-      w.Key("max_evaluations");
-      w.Int(options_.max_evaluations);
-      w.Key("instance");
-      w.BeginInlineObject();
-      w.Key("name");
-      w.String(areas_->name());
-      w.Key("areas");
-      w.Int(areas_->num_areas());
-      w.Key("edges");
-      w.Int(areas_->graph().num_edges());
-      w.Key("digest");
-      w.String(obs::DigestHex(areas_->InstanceDigest()));
-      w.EndObject();
-    });
-  }
-
+  RunEvents events(ctx);
+  events.RunBegin(options_, *areas_);
   Stopwatch run_timer;
   // Multi-start portfolio requested: run N independent replicas and
   // reduce deterministically. The portfolio re-enters SolveSinglePass
-  // through child contexts whose journal pointer is cleared, so the
-  // bracket written here stays the run's only run_start/run_end pair.
+  // through child contexts without observation sinks, so the bracket
+  // written here stays the run's only run_start/run_end pair.
   Result<Solution> result = [&]() -> Result<Solution> {
     if (options_.portfolio_replicas <= 1) return SolveSinglePass(ctx);
     PortfolioSolver portfolio(areas_, constraints_, options_);
@@ -128,47 +64,7 @@ Result<Solution> FactSolver::Solve(const RunContext& ctx) {
     portfolio_stats_ = portfolio.stats();
     return reduced;
   }();
-
-  if (journal != nullptr) {
-    // Terminal summary — forced past the bound so even a truncated
-    // journal ends with a run_end line (CI validates exactly that).
-    // dropped() is read before Append: the fields callback runs under the
-    // journal lock, so calling back into the journal there would deadlock.
-    const int64_t dropped_records = journal->dropped();
-    const double run_seconds = run_timer.ElapsedSeconds();
-    journal->Append(
-        "run_end",
-        [&](JsonWriter& w) {
-          w.Key("ok");
-          w.Bool(result.ok());
-          if (result.ok()) {
-            const Solution& solution = *result;
-            w.Key("p");
-            w.Int(solution.p());
-            w.Key("heterogeneity");
-            w.Double(solution.heterogeneity);
-            w.Key("unassigned");
-            w.Int(solution.num_unassigned());
-            w.Key("termination");
-            w.String(TerminationReasonName(solution.termination_reason));
-          } else {
-            w.Key("error");
-            w.String(result.status().message());
-          }
-          w.Key("seconds");
-          w.Double(run_seconds);
-          w.Key("evaluations");
-          w.Int(ctx.evaluations());
-          w.Key("dropped_records");
-          w.Int(dropped_records);
-        },
-        /*force=*/true);
-  }
-  if (board != nullptr && result.ok()) {
-    board->SetBestP(result->p());
-    board->SetHeterogeneity(result->heterogeneity);
-    board->SetPhase("idle");
-  }
+  events.RunEnd(result, run_timer.ElapsedSeconds());
   return result;
 }
 
@@ -177,33 +73,12 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
                        BoundConstraints::Create(areas_, constraints_));
 
   obs::MetricRegistry* metrics = ctx.metrics;
-  obs::ProgressBoard* board = ctx.progress_board;
-  obs::RunJournal* journal = ctx.journal;
+  RunEvents events(ctx);
   Stopwatch solve_timer;
   obs::ScopedSpan solve_span(ctx.trace, "solve");
 
-  // Journal helpers: a begin/end line per phase, and a termination line
-  // whenever supervision (deadline/cancel/budget/fault) cut one short.
-  auto journal_phase_begin = [&](const char* phase) {
-    if (journal == nullptr) return;
-    journal->Append("phase_begin", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String(phase);
-    });
-  };
-  auto journal_termination = [&](const char* phase, TerminationReason why) {
-    if (journal == nullptr) return;
-    journal->Append("termination", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String(phase);
-      w.Key("reason");
-      w.String(TerminationReasonName(why));
-    });
-  };
-
   // ---- Phase 1: feasibility. ----------------------------------------
-  if (board != nullptr) board->SetPhase("feasibility");
-  journal_phase_begin("feasibility");
+  events.PhaseBegin("feasibility");
   Stopwatch feasibility_timer;
   double feasibility_seconds = 0.0;
   FeasibilityReport feasibility;
@@ -215,20 +90,9 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     feasibility_seconds = feasibility_timer.ElapsedSeconds();
     obs::Set(obs::GetGauge(metrics, "emp_feasibility_seconds"),
              feasibility_seconds);
-    if (journal != nullptr) {
-      journal->Append("phase_end", [&](JsonWriter& w) {
-        w.Key("phase");
-        w.String("feasibility");
-        w.Key("seconds");
-        w.Double(feasibility_seconds);
-        w.Key("feasible");
-        w.Bool(feasibility.feasible);
-        w.Key("invalid_areas");
-        w.Int(static_cast<int64_t>(feasibility.invalid_areas.size()));
-      });
-    }
+    events.FeasibilityEnd(feasibility, feasibility_seconds);
     if (auto reason = supervisor.tripped()) {
-      journal_termination("feasibility", *reason);
+      events.Termination("feasibility", *reason);
       // Interrupted before the verdict: the scan is incomplete, so neither
       // feasibility nor infeasibility is proven. The only safe best-effort
       // answer is the empty solution (p = 0, everything unassigned).
@@ -252,7 +116,10 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
   }
 
   // ---- Phase 2: construction, best-of-k iterations on p. -------------
-  if (board != nullptr) board->SetPhase("construction");
+  const int iterations = options_.construction_iterations;
+  const int threads =
+      std::max(1, std::min(options_.construction_threads, iterations));
+  events.ConstructionBegin(iterations, threads);
   Stopwatch construction_timer;
   obs::Histogram* iteration_seconds =
       obs::GetHistogram(metrics, "emp_construction_iteration_seconds");
@@ -352,28 +219,12 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
       obs::Add(retries_counter);
       out = run_attempt(iter, attempt);
     }
-    if (board != nullptr) {
-      board->SetWork(
-          construction_done.fetch_add(1, std::memory_order_relaxed) + 1,
-          options_.construction_iterations);
-    }
+    events.Work(construction_done.fetch_add(1, std::memory_order_relaxed) + 1,
+                iterations);
     return out;
   };
 
-  const int iterations = options_.construction_iterations;
   std::vector<IterationOutcome> outcomes(static_cast<size_t>(iterations));
-  const int threads =
-      std::max(1, std::min(options_.construction_threads, iterations));
-  if (journal != nullptr) {
-    journal->Append("phase_begin", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String("construction");
-      w.Key("iterations");
-      w.Int(iterations);
-      w.Key("threads");
-      w.Int(threads);
-    });
-  }
   if (threads <= 1) {
     for (int iter = 0; iter < iterations; ++iter) {
       outcomes[static_cast<size_t>(iter)] = run_iteration(iter);
@@ -449,30 +300,11 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
   solution.heterogeneity_before_local_search = ComputeHeterogeneity(*best);
   if (construction_trip.has_value()) {
     solution.termination_reason = *construction_trip;
-    journal_termination("construction", *construction_trip);
+    events.Termination("construction", *construction_trip);
   }
-  if (board != nullptr) board->SetBestP(best_p);
-  if (ctx.curve != nullptr) {
-    // Construction's winner is the run's first incumbent: one sample with
-    // both coordinates so the anytime curve starts at a full point.
-    ctx.curve->OnBestP(best_p, ctx.evaluations());
-    ctx.curve->OnHeterogeneity(solution.heterogeneity_before_local_search,
-                               ctx.evaluations());
-  }
-  if (journal != nullptr) {
-    journal->Append("phase_end", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String("construction");
-      w.Key("seconds");
-      w.Double(solution.construction_seconds);
-      w.Key("best_p");
-      w.Int(best_p);
-      w.Key("completed_iterations");
-      w.Int(completed_iterations);
-      w.Key("heterogeneity");
-      w.Double(solution.heterogeneity_before_local_search);
-    });
-  }
+  // Construction's winner is the run's first incumbent.
+  events.IncumbentP(best_p);
+  events.ConstructionEnd(best_p, solution);
 
   if (metrics != nullptr) {
     obs::GetCounter(metrics, "emp_construction_regions_grown_total")
@@ -497,8 +329,7 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
 
   // ---- Phase 3: Tabu local search (p is fixed). -----------------------
   if (options_.run_local_search && best_p > 0) {
-    if (board != nullptr) board->SetPhase("tabu");
-    journal_phase_begin("tabu");
+    events.PhaseBegin("tabu");
     Stopwatch tabu_timer;
     obs::ScopedSpan span(ctx.trace, "tabu");
     PhaseSupervisor supervisor(&ctx, "tabu");
@@ -511,32 +342,9 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
       solution.termination_reason = solution.tabu_result.termination;
     }
     if (solution.tabu_result.termination != TerminationReason::kConverged) {
-      journal_termination("tabu", solution.tabu_result.termination);
+      events.Termination("tabu", solution.tabu_result.termination);
     }
-    if (board != nullptr) {
-      board->SetHeterogeneity(solution.heterogeneity);
-    }
-    if (ctx.curve != nullptr) {
-      // Terminal sample: the curve always ends at the returned quality
-      // even when the last tabu improvement predates the final epoch.
-      ctx.curve->OnHeterogeneity(solution.heterogeneity, ctx.evaluations());
-    }
-    if (journal != nullptr) {
-      journal->Append("phase_end", [&](JsonWriter& w) {
-        w.Key("phase");
-        w.String("tabu");
-        w.Key("seconds");
-        w.Double(solution.local_search_seconds);
-        w.Key("iterations");
-        w.Int(solution.tabu_result.iterations);
-        w.Key("moves_applied");
-        w.Int(solution.tabu_result.moves_applied);
-        w.Key("initial_heterogeneity");
-        w.Double(solution.tabu_result.initial_heterogeneity);
-        w.Key("final_heterogeneity");
-        w.Double(solution.tabu_result.final_heterogeneity);
-      });
-    }
+    events.TabuEnd(solution.tabu_result, solution.local_search_seconds);
     obs::Set(obs::GetGauge(metrics, "emp_tabu_seconds"),
              solution.local_search_seconds);
   } else {

@@ -45,7 +45,13 @@ class FactSolver : public Solver {
   FactSolver(const AreaSet* areas, std::vector<Constraint> constraints,
              SolverOptions options = {});
 
-  /// Runs all three phases. Returns:
+  /// Solve() (inherited) is Solve(MakeRunContext(options())), so
+  /// time_budget_ms / max_evaluations are honored.
+  using Solver::Solve;
+
+  /// Runs all three phases under an explicit supervision context
+  /// (deadline, cancellation, evaluation budget, fault injection,
+  /// observation sinks). Returns:
   ///   kInfeasible       — the feasibility phase proved no solution exists
   ///                       (the report is in the status message), or
   ///                       invalid areas exist and filtering is disabled;
@@ -54,20 +60,14 @@ class FactSolver : public Solver {
   ///   otherwise a Solution in which every region satisfies every
   ///   constraint and is spatially contiguous.
   ///
-  /// Supervision: equivalent to Solve(MakeRunContext(options())), i.e.
-  /// time_budget_ms / max_evaluations are honored.
-  ///
   /// Multi-start: when options().portfolio_replicas > 1, the solve
   /// delegates to PortfolioSolver (core/portfolio.h) — N independent
   /// replicas across portfolio_threads workers, reduced
   /// deterministically to one Solution.
-  Result<Solution> Solve() override;
-
-  /// Same, under an explicit supervision context (deadline, cancellation,
-  /// evaluation budget, progress callback, fault injection). When the
-  /// context trips mid-solve the phases degrade instead of erroring: the
-  /// returned Solution is still feasible and contiguous — possibly with a
-  /// smaller p, down to 0 — and carries the verdict in
+  ///
+  /// When the context trips mid-solve the phases degrade instead of
+  /// erroring: the returned Solution is still feasible and contiguous —
+  /// possibly with a smaller p, down to 0 — and carries the verdict in
   /// Solution::termination_reason. kInfeasible/kInvalidArgument above are
   /// still errors; supervision never masks them except that a feasibility
   /// phase cut short returns the degraded empty solution rather than
@@ -86,13 +86,13 @@ class FactSolver : public Solver {
 
  private:
   /// The portfolio enters replicas through SolveSinglePass directly, so a
-  /// replica never re-writes the run-journal bracket or re-publishes the
-  /// whole-run progress fields its parent owns.
+  /// replica never re-emits the run bracket (RunEvents::RunBegin/RunEnd)
+  /// its parent owns.
   friend class PortfolioSolver;
 
   /// One construction → local-search chain (portfolio_replicas ignored).
-  /// Solve(ctx) wraps this with the run-journal bracket (run_start /
-  /// run_end) and the portfolio delegation.
+  /// Solve(ctx) wraps this with the run bracket and the portfolio
+  /// delegation.
   Result<Solution> SolveSinglePass(const RunContext& ctx);
 
   const AreaSet* areas_;

@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "common/str_util.h"
+#include "core/run_events.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 
 namespace emp {
 
@@ -33,17 +33,13 @@ Result<FeasibilityReport> CheckFeasibility(const BoundConstraints& bound,
 
   // Telemetry: counts flow through locals and flush at every return site,
   // so an interrupted scan still reports exactly what it covered.
-  obs::MetricRegistry* metrics =
-      (supervisor != nullptr && supervisor->context() != nullptr)
-          ? supervisor->context()->metrics
-          : nullptr;
-  obs::ProgressBoard* board =
-      (supervisor != nullptr && supervisor->context() != nullptr)
-          ? supervisor->context()->progress_board
-          : nullptr;
+  const RunContext* ctx =
+      supervisor != nullptr ? supervisor->context() : nullptr;
+  obs::MetricRegistry* metrics = ctx != nullptr ? ctx->metrics : nullptr;
+  const RunEvents events = ctx != nullptr ? RunEvents(*ctx) : RunEvents();
   int64_t areas_scanned = 0;
   auto flush_metrics = [&](const FeasibilityReport& r) {
-    if (board != nullptr) board->SetWork(areas_scanned, n);
+    events.Work(areas_scanned, n);
     if (metrics == nullptr) return;
     metrics->GetCounter("emp_feasibility_areas_scanned_total")
         ->Add(areas_scanned);
@@ -69,9 +65,7 @@ Result<FeasibilityReport> CheckFeasibility(const BoundConstraints& bound,
     ++areas_scanned;
     // Live work meter, published at the supervisor's slow-path cadence so
     // huge scans stay cheap but /progress still moves.
-    if (board != nullptr && (areas_scanned & 1023) == 0) {
-      board->SetWork(areas_scanned, n);
-    }
+    if ((areas_scanned & 1023) == 0) events.Work(areas_scanned, n);
     bool invalid = false;
     for (int ci = 0; ci < m; ++ci) {
       const Constraint& c = bound.constraint(ci);

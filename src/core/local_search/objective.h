@@ -102,8 +102,7 @@ class CompactnessObjective final : public Objective {
 /// paper lists as future work (§VIII). Example: 1.0 × heterogeneity +
 /// 500 × compactness trades homogeneity against region shape. Does not
 /// own the sub-objectives; the caller keeps them alive. Sub-objectives on
-/// different scales should be weighted accordingly (combine with
-/// data/transforms.h normalization when building the dissimilarity).
+/// different scales should be weighted accordingly.
 class WeightedObjective final : public Objective {
  public:
   WeightedObjective() = default;

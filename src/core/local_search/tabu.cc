@@ -12,9 +12,8 @@
 #include "core/local_search/heterogeneity.h"
 #include "core/local_search/neighborhood.h"
 #include "core/local_search/objective.h"
-#include "obs/curve.h"
+#include "core/run_events.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace emp {
@@ -73,8 +72,8 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   const RunContext* run_ctx =
       supervisor != nullptr ? supervisor->context() : nullptr;
   obs::TraceBuffer* trace = run_ctx != nullptr ? run_ctx->trace : nullptr;
-  obs::ProgressBoard* board =
-      run_ctx != nullptr ? run_ctx->progress_board : nullptr;
+  const RunEvents events =
+      run_ctx != nullptr ? RunEvents(*run_ctx) : RunEvents();
   int64_t tabu_rejected = 0;
   constexpr int64_t kEpochIterations = 256;
   std::optional<obs::ScopedSpan> epoch_span;
@@ -101,11 +100,9 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
         // opening the next epoch's.
         epoch_span.emplace(trace, "tabu.epoch");
       }
-      if (board != nullptr) {
-        // Iteration meter at epoch granularity: total is the hard cap when
-        // set, -1 (unknown) otherwise.
-        board->SetWork(result.iterations, options.tabu_max_iterations);
-      }
+      // Iteration meter at epoch granularity: total is the hard cap when
+      // set, -1 (unknown) otherwise.
+      events.Work(result.iterations, options.tabu_max_iterations);
     }
     ++result.iterations;
 
@@ -172,10 +169,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
       if (trace != nullptr) {
         trace->RecordInstant("tabu.heterogeneity", best_total);
       }
-      if (board != nullptr) board->SetHeterogeneity(best_total);
-      if (run_ctx != nullptr && run_ctx->curve != nullptr) {
-        run_ctx->curve->OnHeterogeneity(best_total, run_ctx->evaluations());
-      }
+      events.IncumbentH(best_total);
     } else {
       ++no_improve;
     }

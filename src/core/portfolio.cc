@@ -9,14 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/json_writer.h"
 #include "common/stopwatch.h"
 #include "core/fact_solver.h"
 #include "core/local_search/tabu.h"
 #include "core/partition.h"
+#include "core/run_events.h"
 #include "graph/connectivity.h"
-#include "obs/curve.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -111,23 +109,8 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   Stopwatch portfolio_timer;
   obs::ScopedSpan portfolio_span(ctx.trace, "portfolio");
 
-  obs::ProgressBoard* board = ctx.progress_board;
-  obs::RunJournal* journal = ctx.journal;
-  if (board != nullptr) {
-    board->SetBudgets(options_.time_budget_ms, options_.max_evaluations);
-    board->SetPhase("portfolio");
-    board->SetReplicaCount(replicas);
-  }
-  if (journal != nullptr) {
-    journal->Append("phase_begin", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String("portfolio");
-      w.Key("replicas");
-      w.Int(replicas);
-      w.Key("threads");
-      w.Int(threads);
-    });
-  }
+  RunEvents events(ctx);
+  events.PortfolioBegin(replicas, threads);
 
   Incumbent incumbent;
   std::atomic<bool> stop_new_replicas{false};
@@ -141,9 +124,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     out.started = true;
     obs::ScopedSpan replica_span(ctx.trace, "portfolio.replica",
                                  /*worker=*/replica);
-    if (board != nullptr) {
-      board->SetReplicaState(replica, obs::ReplicaState::kConstructing);
-    }
+    events.Replica(replica, obs::ReplicaState::kConstructing);
 
     // Replicas are single-threaded internally (the solve's parallelism
     // budget is portfolio_threads) and never re-enter the portfolio.
@@ -156,10 +137,14 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     replica_options.run_local_search = false;
 
     // Child supervision context: shares the caller's deadline, evaluation
-    // budget (same counter), and telemetry sinks, but owns its
-    // cancellation token so this replica can be cancelled individually.
-    // The caller's token (and fault hook) stay visible through the hook,
-    // which PhaseSupervisor polls at every checkpoint.
+    // budget (same counter), metrics and trace, but owns its cancellation
+    // token so this replica can be cancelled individually. The caller's
+    // token (and fault hook) stay visible through the hook, which
+    // PhaseSupervisor polls at every checkpoint. The child carries no
+    // board, journal or curve: whole-run facts (phase, incumbents, the
+    // run bracket) belong to the portfolio's caller, and N replicas
+    // emitting them concurrently would interleave nondeterministically.
+    // Replicas surface through the Replica / ReplicaSummary events.
     RunContext child;
     child.deadline = ctx.deadline;
     child.cancel = replica_tokens[static_cast<size_t>(replica)];
@@ -167,12 +152,6 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     child.evaluations_spent = ctx.evaluations_spent;
     child.metrics = ctx.metrics;
     child.trace = ctx.trace;
-    child.progress = ctx.progress;
-    // progress_board and journal deliberately stay null on the child:
-    // whole-run fields (phase, best_p, run_start/run_end) belong to the
-    // portfolio's caller, and N replicas publishing them concurrently
-    // would interleave nondeterministically. Replicas surface through
-    // SetReplicaState / the post-join `replica` journal records instead.
     CancellationToken parent_cancel = ctx.cancel;
     auto parent_hook = ctx.fault_hook;
     child.fault_hook = [parent_cancel, parent_hook](
@@ -208,19 +187,11 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
         incumbent.best_replica = replica;
       }
       incumbent_p = incumbent.best_p;
-      if (board != nullptr) {
-        // Under the incumbent lock so concurrent replicas publish the
-        // board's best_p in incumbent order (never a stale lower value
-        // last).
-        board->SetBestP(incumbent_p);
-        board->SetReplicaState(replica, obs::ReplicaState::kConstructing, p);
-      }
-      if (ctx.curve != nullptr && incumbent_p == p) {
-        // Same ordering argument as the board: recording under the lock
-        // keeps the anytime curve's best_p monotone across replicas. The
-        // child contexts deliberately do not carry the curve pointer.
-        ctx.curve->OnBestP(incumbent_p, ctx.evaluations());
-      }
+      // Under the incumbent lock so concurrent replicas publish best p in
+      // incumbent order: the board never ends on a stale lower value and
+      // the curve's best_p stays monotone.
+      if (incumbent_p == p) events.IncumbentP(p);
+      events.Replica(replica, obs::ReplicaState::kConstructing, p);
     }
     if (options_.portfolio_target_p >= 0 &&
         incumbent_p >= options_.portfolio_target_p &&
@@ -252,9 +223,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
       out.status = bound.status();
       return;
     }
-    if (board != nullptr) {
-      board->SetReplicaState(replica, obs::ReplicaState::kLocalSearch);
-    }
+    events.Replica(replica, obs::ReplicaState::kLocalSearch);
     Partition partition(&*bound);
     RebuildPartition(solution, &partition);
     ConnectivityChecker connectivity(&areas_->graph());
@@ -286,7 +255,6 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   auto finish_replica = [&](int32_t replica) {
     const int32_t finished =
         replicas_finished.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (board == nullptr) return;
     const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
     obs::ReplicaState state = obs::ReplicaState::kDone;
     if (out.tabu_skipped) {
@@ -296,13 +264,12 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
                    TerminationReason::kCancelled) {
       state = obs::ReplicaState::kCancelled;
     }
-    board->SetReplicaState(
-        replica, state,
-        out.solution.has_value() ? out.solution->p() : -1);
-    // One board publish per finished replica doubles as the portfolio's
-    // checkpoint/evaluations feed (replica children run without a board).
-    board->OnCheckpoint("portfolio", finished, ctx.evaluations());
-    board->SetWork(finished, replicas);
+    events.Replica(replica, state,
+                   out.solution.has_value() ? out.solution->p() : -1);
+    // A finished replica doubles as the portfolio's checkpoint (replica
+    // children run without sinks).
+    events.Checkpoint("portfolio", finished);
+    events.Work(finished, replicas);
   };
   auto drain = [&]() {
     int32_t replica;
@@ -362,39 +329,14 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     }
   }
 
-  if (journal != nullptr) {
-    // One record per replica, in replica order (post-join, so the journal
-    // is identical at any thread count), then the portfolio summary.
-    for (int32_t replica = 0; replica < replicas; ++replica) {
-      const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
-      journal->Append("replica", [&](JsonWriter& w) {
-        w.Key("replica");
-        w.Int(replica);
-        w.Key("started");
-        w.Bool(out.started);
-        w.Key("tabu_skipped");
-        w.Bool(out.tabu_skipped);
-        if (out.solution.has_value()) {
-          w.Key("p");
-          w.Int(out.solution->p());
-          w.Key("heterogeneity");
-          w.Double(out.solution->heterogeneity);
-          w.Key("termination");
-          w.String(TerminationReasonName(out.solution->termination_reason));
-        }
-      });
-    }
-    journal->Append("phase_end", [&](JsonWriter& w) {
-      w.Key("phase");
-      w.String("portfolio");
-      w.Key("seconds");
-      w.Double(portfolio_timer.ElapsedSeconds());
-      w.Key("winning_replica");
-      w.Int(winner);
-      w.Key("best_p");
-      w.Int(best.p);
-    });
+  // Post-join, in replica order, so the records are the same at any
+  // thread count.
+  for (int32_t replica = 0; replica < replicas; ++replica) {
+    const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    events.ReplicaSummary(replica, out.started, out.tabu_skipped,
+                          out.solution.has_value() ? &*out.solution : nullptr);
   }
+  events.PortfolioEnd(portfolio_timer.ElapsedSeconds(), winner, best.p);
 
   if (obs::MetricRegistry* metrics = ctx.metrics; metrics != nullptr) {
     metrics->GetCounter("emp_portfolio_replicas_started_total")

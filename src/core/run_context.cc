@@ -2,8 +2,7 @@
 
 #include <limits>
 
-#include "obs/curve.h"
-#include "obs/progress.h"
+#include "core/run_events.h"
 
 namespace emp {
 
@@ -89,8 +88,9 @@ std::optional<TerminationReason> PhaseSupervisor::Check(int64_t evaluations) {
     pending_evaluations_ += evaluations;
   }
 
-  // Strided slow path: clock read + progress + telemetry flush. Index 0 is
-  // included so an already-expired deadline trips before any work is done.
+  // Strided slow path: clock read + checkpoint event + evaluation flush.
+  // Index 0 is included so an already-expired deadline trips before any
+  // work is done.
   if (index % stride_ == 0) {
     if (pending_evaluations_ > 0) {
       ctx_->evaluations_spent->fetch_add(pending_evaluations_,
@@ -101,21 +101,9 @@ std::optional<TerminationReason> PhaseSupervisor::Check(int64_t evaluations) {
       tripped_ = TerminationReason::kDeadlineExceeded;
       return tripped_;
     }
-    if (ctx_->progress) {
-      ctx_->progress(ProgressEvent{phase_, checkpoints_, ctx_->evaluations()});
-    }
-    if (ctx_->progress_board != nullptr) {
-      // One seqlock publish per slow-path checkpoint: the live /progress
-      // endpoint tracks phase + checkpoint count + evaluation spend
-      // without the solver loops knowing the board exists.
-      ctx_->progress_board->OnCheckpoint(phase_, checkpoints_,
-                                         ctx_->evaluations());
-    }
-    if (ctx_->curve != nullptr) {
-      // Coarse timer tick: the recorder rate-limits internally, so the
-      // anytime curve keeps advancing between incumbent improvements.
-      ctx_->curve->Tick(ctx_->evaluations());
-    }
+    // The board and curve track phase, checkpoint count and evaluation
+    // spend without the solver loops knowing either exists.
+    RunEvents(*ctx_).Checkpoint(phase_, checkpoints_);
   }
   return std::nullopt;
 }

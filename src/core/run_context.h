@@ -91,18 +91,11 @@ struct SupervisionCheckpoint {
   int64_t worker = 0;
 };
 
-/// Periodic progress snapshot delivered to RunContext::progress.
-struct ProgressEvent {
-  std::string_view phase;
-  int64_t checkpoints = 0;   // within the reporting phase instance
-  int64_t evaluations = 0;   // solve-wide running total
-};
-
 /// Execution-supervision context threaded through every long-running solver
 /// loop. Carries a wall-clock deadline, a cooperative cancellation token,
-/// an optional evaluation budget, an optional progress callback, and a
-/// deterministic fault-injection hook for tests. Copies share the
-/// cancellation flag and the evaluation counter.
+/// an optional evaluation budget, a deterministic fault-injection hook for
+/// tests, and optional observation sinks. Copies share the cancellation
+/// flag and the evaluation counter.
 ///
 /// All long-running phases poll the context through PhaseSupervisor
 /// checkpoints; on expiry each phase stops at the next checkpoint and
@@ -119,11 +112,6 @@ struct RunContext {
   /// step); -1 = unlimited.
   int64_t max_evaluations = -1;
 
-  /// Optional progress callback, fired from strided (slow-path)
-  /// checkpoints. May be called from worker threads when construction runs
-  /// parallel; must be thread-safe in that case.
-  std::function<void(const ProgressEvent&)> progress;
-
   /// Deterministic fault-injection hook for tests: called at EVERY
   /// checkpoint; returning a reason terminates the phase with exactly that
   /// reason. Must be thread-safe under parallel construction. Null in
@@ -139,24 +127,15 @@ struct RunContext {
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceBuffer* trace = nullptr;
 
-  /// Live-progress board (see src/obs/progress.h) updated from phase
-  /// transitions and strided supervision checkpoints, and served by
-  /// obs::HttpServer's /progress endpoint. Null by default; like the
-  /// sinks above it must outlive the solve and is safe under parallel
-  /// construction (seqlock writers serialize internally).
+  /// Observation sinks for the run's facts (phases, incumbents, replica
+  /// states, terminations), all written through core/run_events.h and
+  /// tabulated in DESIGN.md §11: the live-progress board served at
+  /// /progress (src/obs/progress.h), the JSONL flight recorder
+  /// (src/obs/journal.h) and the anytime-quality curve (src/obs/curve.h).
+  /// Null by default; each must outlive the solve and is thread-safe.
+  /// They are whole-run state: portfolio child contexts leave them null.
   obs::ProgressBoard* progress_board = nullptr;
-
-  /// Append-only JSONL flight recorder (see src/obs/journal.h) fed by
-  /// the solver's run/phase/replica lifecycle events. Null by default;
-  /// must outlive the solve; thread-safe.
   obs::RunJournal* journal = nullptr;
-
-  /// Anytime-quality recorder (see src/obs/curve.h): incumbent
-  /// improvements (best p, heterogeneity) plus coarse supervision ticks,
-  /// giving solution quality as a function of wall time. Null by default;
-  /// must outlive the solve; thread-safe. Like the board/journal it stays
-  /// whole-run state — portfolio child contexts do not inherit it
-  /// (improvements are recorded under the incumbent lock instead).
   obs::AnytimeCurve* curve = nullptr;
 
   /// Solve-wide evaluation counter shared by all copies of this context.

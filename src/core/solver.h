@@ -29,9 +29,10 @@ class AreaSet;
 ///     best-effort Solution tagged with Solution::termination_reason,
 ///     never an error; kInfeasible / kInvalidArgument remain errors.
 ///   - Solve() is the unsupervised convenience entry point, equivalent to
-///     Solve(MakeRunContext(options())) unless the concrete type documents
-///     more (FactSolver's also self-hosts the observability plane when
-///     SolverOptions::serve_port >= 0).
+///     Solve(MakeRunContext(options())) for every implementation. Callers
+///     that want live progress, a journal or a curve attach the sinks to
+///     their own RunContext (and serve them, as emp solve --serve-port
+///     and emp serve do).
 ///   - constraints() is the canonical constraint set the returned solution
 ///     satisfies per region — for the single-SUM baselines, the one
 ///     SUM(attribute) >= threshold constraint — usable directly with

@@ -58,12 +58,6 @@ Status ValidateSolverOptions(const SolverOptions& options) {
         "got " +
         std::to_string(options.portfolio_target_p) + ")");
   }
-  if (options.serve_port < -1 || options.serve_port > 65535) {
-    return Status::InvalidArgument(
-        "SolverOptions.serve_port must be in [-1, 65535] (-1 = disabled, "
-        "0 = ephemeral; got " +
-        std::to_string(options.serve_port) + ")");
-  }
   if (options.time_budget_ms < -1) {
     return Status::InvalidArgument(
         "SolverOptions.time_budget_ms must be >= -1 (-1 = no limit; got " +

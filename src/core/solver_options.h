@@ -138,15 +138,6 @@ struct SolverOptions {
   /// invariance guarantee applies to untargeted, unbudgeted solves).
   int32_t portfolio_target_p = -1;
 
-  /// Serve the live observability plane (obs::HttpServer: /healthz,
-  /// /metrics, /metrics.json, /progress) on 127.0.0.1:serve_port for the
-  /// duration of the solve. 0 binds an ephemeral port; -1 (default)
-  /// disables the server. Honored by the no-context Solve() entry points
-  /// — callers supplying their own RunContext attach their own sinks and
-  /// server (as emp_cli does). Serving never perturbs the solve: a fixed
-  /// seed yields a bit-identical solution with and without it.
-  int serve_port = -1;
-
   /// Wall-clock budget for the whole solve in milliseconds; -1 = no limit.
   /// On expiry the solver stops at the next checkpoint and returns its
   /// best-so-far solution tagged TerminationReason::kDeadlineExceeded.

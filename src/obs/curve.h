@@ -17,10 +17,9 @@ namespace obs {
 /// for quality-over-time reporting (ROADMAP: optimality-gap reporting) —
 /// "did the solve converge, and how fast" as one machine-readable curve.
 ///
-/// Attached through RunContext::curve, null by default: a solve without
-/// the recorder pays one null-pointer branch per hook (PR-5 discipline —
-/// fixed-seed output is bit-identical with the recorder on or off,
-/// because the recorder only *reads* solver state).
+/// Attached through RunContext::curve and fed by the solver's run events
+/// (core/run_events.h). Fixed-seed output is bit-identical with the
+/// recorder on or off, because the recorder only *reads* solver state.
 ///
 /// Bounded like the trace buffer: when full, new samples are dropped and
 /// counted — the early samples carry the steep part of the curve that

@@ -26,7 +26,8 @@ namespace obs {
 /// the journal was constructed (a run-local epoch, so two journals of the
 /// same instance line up record-for-record even across machines).
 ///
-/// Record types written by the solvers (DESIGN.md §11): `run_start`
+/// Record types written by the solver's run events (core/run_events.h,
+/// DESIGN.md §11): `run_start`
 /// (options + seed + instance digest), `phase_begin` / `phase_end` (with
 /// seconds and per-phase outcomes), `termination` (degradation /
 /// cancellation verdicts), `replica` (one per portfolio replica, in

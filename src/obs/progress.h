@@ -64,10 +64,9 @@ struct ProgressSnapshot {
 };
 
 /// Lock-cheap live-progress board: the write side is a seqlock-style
-/// versioned record hung off RunContext next to metrics/trace, published
-/// from the solver's phase transitions and strided supervision
-/// checkpoints; the read side (HTTP /progress, tests) never blocks a
-/// writer.
+/// versioned record hung off RunContext, published by the solver's run
+/// events (core/run_events.h); the read side (HTTP /progress, tests)
+/// never blocks a writer.
 ///
 /// Memory-ordering contract (DESIGN.md §11): writers serialize among
 /// themselves on an internal mutex and bracket every update between two

@@ -182,8 +182,6 @@ Result<JobSnapshot> JobManager::Submit(const JobRequest& request) {
   spec.attribute = request.attribute;
   spec.threshold = request.threshold;
   spec.options = request.options;
-  // A job runs inside a server already; never self-host another plane.
-  spec.options.serve_port = -1;
   EMP_ASSIGN_OR_RETURN(std::unique_ptr<Solver> solver, CreateSolver(spec));
 
   std::unique_lock<std::mutex> lock(mu_);

@@ -60,8 +60,8 @@ bool IsTerminalJobState(JobState state);
 /// (mmap'd, shared) or a CSV for the loader. The
 /// solver/query/attribute/threshold fields mirror SolverSpec; options
 /// carry the supervision budget (time_budget_ms / max_evaluations) the
-/// job's RunContext enforces. SolverOptions::serve_port is ignored — jobs
-/// run inside a server already and never self-host another one.
+/// job's RunContext enforces; that context also carries the job's own
+/// progress board, journal and curve, which the service serves.
 struct JobRequest {
   std::string instance;
   std::string solver = "fact";

@@ -415,8 +415,8 @@ TEST(HttpServerTest, PortCollisionIsAnError) {
 }
 
 /// The guarantee the whole plane rests on: serving does not perturb the
-/// solve. A fixed-seed solve must be bit-identical with the server on
-/// (serve_port = 0) and off (serve_port = -1).
+/// solve. A fixed-seed solve must be bit-identical with a caller-attached
+/// server, board and registry around Solve(ctx) and without any of them.
 TEST(HttpServerTest, ServingDoesNotPerturbTheSolve) {
   std::vector<double> pop(36);
   for (size_t i = 0; i < pop.size(); ++i) {
@@ -425,14 +425,27 @@ TEST(HttpServerTest, ServingDoesNotPerturbTheSolve) {
   AreaSet areas =
       test::MakeAreaSet(test::GridGraph(6, 6), {{"pop", pop}});
   std::vector<Constraint> cs = {Constraint::Sum("pop", 60, kNoUpperBound)};
+  FactSolver solver(&areas, cs);
 
-  SolverOptions with_server;
-  with_server.serve_port = 0;  // ephemeral plane, self-contained
-  auto observed = FactSolver(&areas, cs, with_server).Solve();
+  MetricRegistry registry;
+  ProgressBoard board;
+  HttpServer::Options options;
+  options.metrics = &registry;
+  options.progress = &board;
+  auto server = HttpServer::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  RunContext ctx = MakeRunContext(solver.options());
+  ctx.metrics = &registry;
+  ctx.progress_board = &board;
+  auto observed = solver.Solve(ctx);
   ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  // The plane saw the run: /progress reports its final state.
+  auto doc = json::Parse(BodyOf(HttpGet((*server)->port(), "/progress")));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->Find("best_p")->AsNumber(), observed->p());
+  (*server)->Stop();
 
-  SolverOptions without_server;  // serve_port = -1: no plane
-  auto plain = FactSolver(&areas, cs, without_server).Solve();
+  auto plain = solver.Solve();
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   EXPECT_EQ(observed->p(), plain->p());

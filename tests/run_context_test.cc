@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/solver_options.h"
+#include "obs/progress.h"
 
 namespace emp {
 namespace {
@@ -210,13 +211,17 @@ TEST(PhaseSupervisorTest, FaultHookSeesWorkerId) {
 }
 
 TEST(PhaseSupervisorTest, ProgressFiresOnStride) {
+  obs::ProgressBoard board;
   RunContext ctx;
-  int events = 0;
-  ctx.progress = [&events](const ProgressEvent&) { ++events; };
-  PhaseSupervisor supervisor(&ctx, "test", /*worker=*/0,
+  ctx.progress_board = &board;
+  PhaseSupervisor supervisor(&ctx, "tabu", /*worker=*/0,
                              /*time_check_stride=*/10);
   for (int i = 0; i < 25; ++i) supervisor.Check();
-  EXPECT_EQ(events, 3) << "stride points 0, 10, 20";
+  EXPECT_EQ(board.publishes(), 3) << "stride points 0, 10, 20";
+  const obs::ProgressSnapshot snapshot = board.Read();
+  EXPECT_STREQ(snapshot.phase, "tabu");
+  EXPECT_EQ(snapshot.checkpoints, 21) << "published at checkpoint index 20";
+  EXPECT_EQ(snapshot.evaluations, 21);
 }
 
 TEST(MakeRunContextTest, TranslatesBudgetFields) {

@@ -21,15 +21,16 @@ ctest --preset asan-ubsan -j "$(nproc)" "$@"
 # the portfolio's replica pool + shared incumbent — plus the local-search
 # engine tests, whose metric flushes touch the shared registry, the
 # observability plane (seqlock progress board, HTTP server, run journal),
-# and the solve service (job scheduler worker pool + concurrent HTTP
+# the run-event oracle (a 4-thread portfolio emitting into an attached
+# board, journal and curve), and the solve service (job scheduler worker pool + concurrent HTTP
 # submissions, per-job traces/curves, streaming latency stats).
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
   obs_metrics_test quantile_test obs_trace_test obs_curve_test \
   obs_profiler_test obs_export_test obs_progress_test \
-  obs_journal_test obs_http_test json_writer_test \
+  obs_journal_test obs_http_test run_events_oracle_test json_writer_test \
   thread_invariance_test fact_solver_test run_context_test \
   neighborhood_test tabu_golden_test portfolio_test \
   solver_registry_test service_stats_test service_test service_http_test
 ctest --preset tsan -j "$(nproc)" \
-  -R '^(obs_metrics_test|quantile_test|obs_trace_test|obs_curve_test|obs_profiler_test|obs_export_test|obs_progress_test|obs_journal_test|obs_http_test|json_writer_test|thread_invariance_test|fact_solver_test|run_context_test|neighborhood_test|tabu_golden_test|portfolio_test|solver_registry_test|service_stats_test|service_test|service_http_test)$'
+  -R '^(obs_metrics_test|quantile_test|obs_trace_test|obs_curve_test|obs_profiler_test|obs_export_test|obs_progress_test|obs_journal_test|obs_http_test|run_events_oracle_test|json_writer_test|thread_invariance_test|fact_solver_test|run_context_test|neighborhood_test|tabu_golden_test|portfolio_test|solver_registry_test|service_stats_test|service_test|service_http_test)$'
