@@ -302,8 +302,6 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     solution.termination_reason = *construction_trip;
     events.Termination("construction", *construction_trip);
   }
-  // Construction's winner is the run's first incumbent.
-  events.IncumbentP(best_p);
   events.ConstructionEnd(best_p, solution);
 
   if (metrics != nullptr) {

@@ -142,6 +142,9 @@ void RunEvents::FeasibilityEnd(const FeasibilityReport& report,
 
 void RunEvents::ConstructionEnd(int32_t best_p,
                                 const Solution& solution) const {
+  // The winner is the run's first incumbent: the curve gets a p sample,
+  // then H completes the point.
+  IncumbentP(best_p);
   const double h = solution.heterogeneity_before_local_search;
   if (curve_ != nullptr) curve_->OnHeterogeneity(h, evaluations());
   Append(journal_, "phase_end", "phase", "construction", "seconds",

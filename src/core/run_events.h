@@ -44,8 +44,8 @@ class RunEvents {
   void ConstructionBegin(int iterations, int threads) const;
   void PortfolioBegin(int32_t replicas, int threads) const;
   void FeasibilityEnd(const FeasibilityReport& report, double seconds) const;
-  /// `solution` carries the phase's seconds, completed iterations and
-  /// heterogeneity.
+  /// `best_p` is the run's first incumbent; `solution` carries the phase's
+  /// seconds, completed iterations and heterogeneity.
   void ConstructionEnd(int32_t best_p, const Solution& solution) const;
   void TabuEnd(const TabuResult& result, double seconds) const;
   void PortfolioEnd(double seconds, int32_t winning_replica,
