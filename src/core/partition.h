@@ -102,7 +102,9 @@ class Partition {
 
   /// Deep consistency check for tests: reverse map matches region member
   /// lists, stats counts match sizes, dead regions are empty, inactive
-  /// areas unassigned.
+  /// areas unassigned, and every alive region's aggregates match a
+  /// recomputation over its members (MIN/MAX/COUNT exactly, SUM/AVG within
+  /// a relative 1e-9).
   Status ValidateInvariants() const;
 
   /// Final region assignment: region ids compacted to [0, p), -1 for

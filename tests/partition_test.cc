@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "test_util.h"
 
 namespace emp {
@@ -192,6 +195,142 @@ TEST_F(PartitionTest, CompactAssignmentSkipsDeadRegions) {
   EXPECT_EQ(compact[1], -1);
   EXPECT_EQ(compact[2], 1);  // r3 renumbered to 1
   EXPECT_EQ(compact[5], -1);
+}
+
+// Recomputes constraint `ci`'s aggregate over `members` minus the entry at
+// `skip` (-1 skips nothing).
+double Recompute(const BoundConstraints& bound, int ci,
+                 const std::vector<int32_t>& members, int skip) {
+  const Aggregate agg = bound.constraint(ci).aggregate;
+  double lo = 0.0;
+  double hi = 0.0;
+  double sum = 0.0;
+  int n = 0;
+  for (int i = 0; i < static_cast<int>(members.size()); ++i) {
+    if (i == skip) continue;
+    const double v = bound.ValueOf(ci, members[static_cast<size_t>(i)]);
+    lo = n == 0 ? v : std::min(lo, v);
+    hi = n == 0 ? v : std::max(hi, v);
+    sum += v;
+    ++n;
+  }
+  switch (agg) {
+    case Aggregate::kMin:
+      return lo;
+    case Aggregate::kMax:
+      return hi;
+    case Aggregate::kAvg:
+      return sum / n;
+    case Aggregate::kSum:
+      return sum;
+    case Aggregate::kCount:
+      return n;
+  }
+  return 0.0;
+}
+
+// Checks every alive region's current and remove-side aggregates against a
+// recomputation over its members; returns the first disagreement.
+std::string CheckRegionsAgainstMembers(const Partition& p) {
+  const BoundConstraints& bound = p.bound();
+  for (int32_t rid : p.AliveRegionIds()) {
+    const Region& r = p.region(rid);
+    const int size = r.size();
+    const std::string where = "region " + std::to_string(rid);
+    for (int ci = 0; ci < bound.size(); ++ci) {
+      if (r.stats.AggregateValue(ci) != Recompute(bound, ci, r.areas, -1)) {
+        return where + " AggregateValue ci=" + std::to_string(ci);
+      }
+    }
+    for (int i = 0; i < size; ++i) {
+      const int32_t area = r.areas[static_cast<size_t>(i)];
+      bool all_ok = size > 1;
+      for (int ci = 0; ci < bound.size(); ++ci) {
+        const Aggregate agg = bound.constraint(ci).aggregate;
+        const double want = Recompute(bound, ci, r.areas, i);
+        if (size > 1 || agg == Aggregate::kSum || agg == Aggregate::kCount) {
+          if (r.stats.AggregateAfterRemove(ci, area) != want) {
+            return where + " AggregateAfterRemove ci=" + std::to_string(ci) +
+                   " area=" + std::to_string(area);
+          }
+        }
+        if (size > 1) all_ok &= bound.constraint(ci).Contains(want);
+      }
+      if (r.stats.SatisfiesAllAfterRemove(area) != all_ok) {
+        return where + " SatisfiesAllAfterRemove area=" +
+               std::to_string(area);
+      }
+    }
+  }
+  return "";
+}
+
+// Randomized oracle over the mutation API: duplicate-heavy integer columns
+// (so every aggregate is exact) under MIN, MAX, AVG, SUM and COUNT, with
+// extremum holders added, removed, moved, merged and dissolved in turn.
+TEST(PartitionOracleTest, RandomMutationsMatchRecomputation) {
+  constexpr int32_t kSide = 6;
+  constexpr int32_t kN = kSide * kSide;
+  Rng values(7);
+  std::vector<double> d(kN);
+  std::vector<double> w(kN);
+  for (int32_t a = 0; a < kN; ++a) {
+    d[static_cast<size_t>(a)] = static_cast<double>(values.UniformInt(1, 4));
+    w[static_cast<size_t>(a)] = static_cast<double>(values.UniformInt(0, 5));
+  }
+  AreaSet areas = test::MakeAreaSet(test::GridGraph(kSide, kSide),
+                                    {{"d", d}, {"w", w}});
+  auto bound = BoundConstraints::Create(
+      &areas, {Constraint::Min("d", 2, 4), Constraint::Max("d", 1, 3),
+               Constraint::Min("w", 1, 5), Constraint::Max("w", 0, 4),
+               Constraint::Avg("w", 1.5, 3.5), Constraint::Sum("w", 3, 12),
+               Constraint::Count(2, 6)});
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  Partition p(&*bound);
+  p.Deactivate(0);
+  p.Deactivate(kN - 1);
+
+  Rng rng(2026);
+  auto pick = [&rng](const std::vector<int32_t>& v) {
+    return v[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(v.size()) - 1))];
+  };
+  std::vector<int32_t> alive;
+  std::vector<int32_t> assigned;
+  for (int step = 0; step < 4000; ++step) {
+    alive.clear();
+    for (int32_t rid = 0; rid < p.NumRegionSlots(); ++rid) {
+      if (p.IsAlive(rid)) alive.push_back(rid);
+    }
+    assigned.clear();
+    for (int32_t a = 0; a < kN; ++a) {
+      if (p.RegionOf(a) != -1) assigned.push_back(a);
+    }
+    const std::vector<int32_t> unassigned = p.UnassignedAreas();
+    const int64_t op = rng.UniformInt(0, 99);
+    if (op < 40 && !unassigned.empty()) {
+      const int32_t rid =
+          alive.empty() || rng.Bernoulli(0.1) ? p.CreateRegion() : pick(alive);
+      p.Assign(pick(unassigned), rid);
+    } else if (op < 60 && !assigned.empty()) {
+      p.Unassign(pick(assigned));
+    } else if (op < 90 && !assigned.empty() && alive.size() > 1) {
+      const int32_t area = pick(assigned);
+      int32_t to = pick(alive);
+      if (to == p.RegionOf(area)) continue;
+      p.Move(area, to);
+    } else if (op < 97 && alive.size() > 1) {
+      const int32_t winner = pick(alive);
+      const int32_t loser = pick(alive);
+      if (winner == loser) continue;
+      p.MergeRegions(winner, loser);
+    } else if (!alive.empty()) {
+      p.DissolveRegion(pick(alive));
+    }
+    const Status st = p.ValidateInvariants();
+    ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
+    ASSERT_EQ(CheckRegionsAgainstMembers(p), "") << "step " << step;
+  }
 }
 
 }  // namespace
