@@ -22,7 +22,7 @@ inline std::vector<int32_t> SnapshotAssignment(const Partition& partition) {
 /// Restores a snapshot taken during the same search (the snapshot's region
 /// ids must still be alive). Single pass: each diverging area is moved
 /// directly to its saved region, so no region is ever transiently emptied
-/// and every RegionStats multiset is touched at most once per area.
+/// and every region's RegionStats is updated at most once per area.
 inline void RestoreAssignment(const std::vector<int32_t>& saved,
                               Partition* partition) {
   for (int32_t a = 0; a < partition->num_areas(); ++a) {

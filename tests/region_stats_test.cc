@@ -62,7 +62,7 @@ TEST_F(RegionStatsTest, RemoveRestoresPreviousState) {
   RegionStats stats(&bc);
   stats.Add(0);
   stats.Add(2);
-  stats.Remove(2);
+  stats.Remove(2, std::vector<int32_t>{0});
   EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 5);
   EXPECT_DOUBLE_EQ(stats.AggregateValue(1), 5);
   EXPECT_DOUBLE_EQ(stats.AggregateValue(2), 5);
@@ -82,10 +82,32 @@ TEST_F(RegionStatsTest, MinRemovalWithDuplicates) {
   stats.Add(2);
   EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 4);
   EXPECT_DOUBLE_EQ(stats.AggregateAfterRemove(0, 0), 4);  // other 4 remains
-  stats.Remove(0);
+  stats.Remove(0, std::vector<int32_t>{1, 2});
   EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 4);
-  stats.Remove(1);
+  stats.Remove(1, std::vector<int32_t>{2});
   EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 9);
+}
+
+// Duplicates count toward the runner-up: in {3,3,5} one 3 leaving keeps
+// the minimum at 3, and only the second 3 leaving exposes 5.
+TEST_F(RegionStatsTest, TiedMinimumSurvivesOneRemoval) {
+  AreaSet dup = test::PathAreaSet({3, 5, 3});
+  auto bc = BoundConstraints::Create(
+      &dup, {Constraint::Min("s", 3, 100), Constraint::Max("s", 0, 4)});
+  ASSERT_TRUE(bc.ok());
+  RegionStats stats(&*bc);
+  for (int32_t a : {0, 1, 2}) stats.Add(a);
+  EXPECT_DOUBLE_EQ(stats.AggregateAfterRemove(0, 0), 3);
+  EXPECT_DOUBLE_EQ(stats.AggregateAfterRemove(0, 2), 3);
+  EXPECT_DOUBLE_EQ(stats.AggregateAfterRemove(1, 1), 3);  // MAX 5 -> 3
+  EXPECT_TRUE(stats.SatisfiesAllAfterRemove(1));
+  EXPECT_FALSE(stats.SatisfiesAllAfterRemove(0));  // MAX stays 5 > 4
+  stats.Remove(0, std::vector<int32_t>{1, 2});
+  EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 3);
+  EXPECT_DOUBLE_EQ(stats.AggregateAfterRemove(0, 2), 5);
+  stats.Remove(2, std::vector<int32_t>{1});
+  EXPECT_DOUBLE_EQ(stats.AggregateValue(0), 5);
+  EXPECT_DOUBLE_EQ(stats.AggregateValue(1), 5);
 }
 
 TEST_F(RegionStatsTest, HypotheticalAddMatchesActual) {
@@ -117,11 +139,16 @@ TEST_F(RegionStatsTest, HypotheticalRemoveMatchesActual) {
   });
   RegionStats stats(&bc);
   for (int32_t a : {0, 2, 5, 7}) stats.Add(a);
-  for (int32_t victim : {0, 2, 5, 7}) {
+  const std::vector<int32_t> members = {0, 2, 5, 7};
+  for (int32_t victim : members) {
+    std::vector<int32_t> remaining;
+    for (int32_t m : members) {
+      if (m != victim) remaining.push_back(m);
+    }
     for (int ci = 0; ci < bc.size(); ++ci) {
       double predicted = stats.AggregateAfterRemove(ci, victim);
       RegionStats copy = stats;
-      copy.Remove(victim);
+      copy.Remove(victim, remaining);
       EXPECT_DOUBLE_EQ(predicted, copy.AggregateValue(ci))
           << "ci=" << ci << " victim=" << victim;
     }
@@ -208,8 +235,9 @@ TEST_F(RegionStatsTest, RandomTraceMatchesRecompute) {
     } else {
       size_t idx = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(members.size()) - 1));
-      stats.Remove(members[idx]);
+      const int32_t victim = members[idx];
       members.erase(members.begin() + static_cast<std::ptrdiff_t>(idx));
+      stats.Remove(victim, members);
     }
     if (members.empty()) continue;
     // Recompute ground truth.
