@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -224,53 +225,43 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     return out;
   };
 
-  std::vector<IterationOutcome> outcomes(static_cast<size_t>(iterations));
-  if (threads <= 1) {
-    for (int iter = 0; iter < iterations; ++iter) {
-      outcomes[static_cast<size_t>(iter)] = run_iteration(iter);
-    }
-  } else {
-    // Small worker pool honoring construction_threads exactly: `threads`
-    // workers (this thread included) pull iteration ids from a shared
-    // counter. Outcomes land in a pre-sized vector slot per iteration, so
-    // no synchronization beyond the ticket counter and the joins.
-    obs::Histogram* per_thread = obs::GetHistogram(
-        metrics, "emp_construction_iterations_per_thread",
-        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-    std::atomic<int> next_iteration{0};
-    auto drain = [&]() {
-      int64_t processed = 0;
-      int iter;
-      while ((iter = next_iteration.fetch_add(
-                  1, std::memory_order_relaxed)) < iterations) {
-        outcomes[static_cast<size_t>(iter)] = run_iteration(iter);
-        ++processed;
-      }
-      obs::Observe(per_thread, static_cast<double>(processed));
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads - 1));
-    for (int t = 1; t < threads; ++t) pool.emplace_back(drain);
-    drain();
-    for (std::thread& worker : pool) worker.join();
-  }
-
-  // Deterministic selection: highest p, earliest iteration breaking ties —
-  // identical regardless of thread count. Interrupted partials compete on
-  // the same footing; the earliest iteration's trip verdict (also
-  // thread-count independent) becomes the solution's termination reason.
+  // Deterministic best-of-k, folded as each try finishes so a losing
+  // partition is freed when its try ends: at most `threads + 1` partitions
+  // are alive, whatever k is. Highest p wins and the earlier iteration
+  // breaks ties; the earliest iteration's error is the one returned, and
+  // the earliest interrupted try's trip verdict becomes the solution's
+  // termination reason. Interrupted partials compete on the same footing.
+  // Comparing (p, iteration) makes the result independent of finish order
+  // and thread count.
+  std::mutex fold_mu;
   std::optional<Partition> best;
   int32_t best_p = -1;
+  int best_iteration = -1;
   RegionGrowingStats best_growing;
   MonotonicAdjustStats best_adjust;
+  int error_iteration = -1;
+  Status error;
   int completed_iterations = 0;
+  int trip_iteration = -1;
   std::optional<TerminationReason> construction_trip;
   RegionGrowingStats growing_totals;
   MonotonicAdjustStats adjust_totals;
-  for (IterationOutcome& out : outcomes) {
-    EMP_RETURN_IF_ERROR(out.status);
+  // `out` is destroyed after the lock is released, together with whichever
+  // partition lost.
+  auto fold = [&](int iter, IterationOutcome out) {
+    std::lock_guard<std::mutex> lock(fold_mu);
+    if (!out.status.ok()) {
+      if (error_iteration < 0 || iter < error_iteration) {
+        error_iteration = iter;
+        error = std::move(out.status);
+      }
+      return;
+    }
     if (out.interrupted.has_value()) {
-      if (!construction_trip.has_value()) construction_trip = out.interrupted;
+      if (trip_iteration < 0 || iter < trip_iteration) {
+        trip_iteration = iter;
+        construction_trip = out.interrupted;
+      }
     } else {
       ++completed_iterations;
     }
@@ -282,13 +273,44 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     adjust_totals.merges += out.adjust.merges;
     adjust_totals.removals += out.adjust.removals;
     adjust_totals.regions_dissolved += out.adjust.regions_dissolved;
-    if (out.p > best_p) {
+    if (out.p > best_p || (out.p == best_p && iter < best_iteration)) {
       best_p = out.p;
-      best = std::move(out.partition);
+      best_iteration = iter;
+      best.swap(out.partition);
       best_growing = out.growing;
       best_adjust = out.adjust;
     }
+  };
+
+  if (threads <= 1) {
+    for (int iter = 0; iter < iterations; ++iter) {
+      fold(iter, run_iteration(iter));
+    }
+  } else {
+    // Small worker pool honoring construction_threads exactly: `threads`
+    // workers (this thread included) pull iteration ids from a shared
+    // counter and fold each finished try into the incumbent.
+    obs::Histogram* per_thread = obs::GetHistogram(
+        metrics, "emp_construction_iterations_per_thread",
+        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+    std::atomic<int> next_iteration{0};
+    auto drain = [&]() {
+      int64_t processed = 0;
+      int iter;
+      while ((iter = next_iteration.fetch_add(
+                  1, std::memory_order_relaxed)) < iterations) {
+        fold(iter, run_iteration(iter));
+        ++processed;
+      }
+      obs::Observe(per_thread, static_cast<double>(processed));
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<size_t>(threads - 1));
+    for (int t = 1; t < threads; ++t) pool.emplace_back(drain);
+    drain();
+    for (std::thread& worker : pool) worker.join();
   }
+  EMP_RETURN_IF_ERROR(error);
 
   Solution solution;
   solution.feasibility = std::move(feasibility);
