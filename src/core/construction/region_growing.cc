@@ -1,6 +1,7 @@
 #include "core/construction/region_growing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -217,7 +218,8 @@ bool AssignEnclavesRound1(const BoundConstraints& bound,
 /// their counters plus one, and unions over the budget are skipped.
 /// Without this cap a single blob region chains merges across enclaves and
 /// swallows the entire map (p collapses to 1 on the paper's hard 3k±1k
-/// range).
+/// range). `merge_count` is indexed by region id and covers every region
+/// slot (no region is created after InitializeRegions).
 bool AssignEnclavesRound2(const BoundConstraints& bound,
                           const std::vector<int32_t>& order, int merge_budget,
                           std::vector<int>* merge_count, Partition* partition,
@@ -225,12 +227,8 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
                           PhaseSupervisor* supervisor,
                           GrowthScratch* scratch) {
   const auto& centrality = bound.centrality_indices();
-  auto count_of = [&](int32_t rid) -> int& {
-    if (static_cast<size_t>(rid) >= merge_count->size()) {
-      merge_count->resize(static_cast<size_t>(rid) + 1, 0);
-    }
-    return (*merge_count)[static_cast<size_t>(rid)];
-  };
+  std::vector<int>& count = *merge_count;
+  assert(count.size() == static_cast<size_t>(partition->NumRegionSlots()));
 
   bool any_change = false;
   for (int32_t a : order) {
@@ -244,7 +242,8 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
       const RegionStats& rs1 = partition->region(rid).stats;
       partition->NeighborRegionsOfInto(rid, &scratch->regions2);
       for (int32_t r2 : scratch->regions2) {
-        const int merged_cost = count_of(rid) + count_of(r2) + 1;
+        const int merged_cost = count[static_cast<size_t>(rid)] +
+                                count[static_cast<size_t>(r2)] + 1;
         if (merged_cost > merge_budget) continue;
         const RegionStats& rs2 = partition->region(r2).stats;
         bool ok = true;
@@ -258,7 +257,7 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
         }
         if (ok) {
           partition->MergeRegions(rid, r2);
-          count_of(rid) = merged_cost;
+          count[static_cast<size_t>(rid)] = merged_cost;
           ++stats->round2_merges;
           partition->Assign(a, rid);
           ++stats->round2_assignments;
@@ -346,7 +345,9 @@ Status GrowRegions(const SeedingResult& seeding, const SolverOptions& options,
     OrderAreas(bound, options.pickup_order, rng, &order);
     AssignEnclavesRound1(bound, order, partition, stats, supervisor, scratch);
     if (bound.has_centrality() && !interrupted()) {
-      std::vector<int> merge_count;  // Per-region round-2 merge budget use.
+      // Per-region round-2 merge budget use.
+      std::vector<int> merge_count(
+          static_cast<size_t>(partition->NumRegionSlots()), 0);
       while (AssignEnclavesRound2(bound, order, options.avg_merge_limit,
                                   &merge_count, partition, stats, supervisor,
                                   scratch)) {
