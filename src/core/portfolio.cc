@@ -29,14 +29,15 @@ bool BeatsInReduction(const ReplicaScore& a, const ReplicaScore& b) {
   return a.replica < b.replica;
 }
 
-namespace {
+uint64_t ReplicaSeed(uint64_t base_seed, int32_t replica) {
+  // Distinct from the two constants the construction phase uses to derive
+  // (iteration, attempt) streams, so replica streams never collide with
+  // intra-replica ones.
+  constexpr uint64_t kReplicaSeedStride = 0xA24BAED4963EE407ULL;
+  return base_seed + kReplicaSeedStride * static_cast<uint64_t>(replica);
+}
 
-/// Seed stride between replicas. Distinct from the two constants the
-/// construction phase uses to derive (iteration, attempt) streams, so
-/// replica streams never collide with intra-replica ones. Replica 0 keeps
-/// the base seed: a 1-replica portfolio explores the same constructions
-/// as a plain solve.
-constexpr uint64_t kReplicaSeedStride = 0xA24BAED4963EE407ULL;
+namespace {
 
 /// Lock-guarded best-constructed-p shared by all replicas. Consulted for
 /// the local-search cutoff: a replica strictly below the incumbent p can
@@ -130,8 +131,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     // budget is portfolio_threads) and never re-enter the portfolio.
     // Local search is run below, after the incumbent consult.
     SolverOptions replica_options = options_;
-    replica_options.seed =
-        options_.seed + kReplicaSeedStride * static_cast<uint64_t>(replica);
+    replica_options.seed = ReplicaSeed(options_.seed, replica);
     replica_options.portfolio_replicas = 1;
     replica_options.construction_threads = 1;
     replica_options.run_local_search = false;

@@ -28,6 +28,11 @@ struct ReplicaScore {
 /// True when `a` beats `b` under the reduction rule above.
 bool BeatsInReduction(const ReplicaScore& a, const ReplicaScore& b);
 
+/// The seed replica `replica` solves with: `base_seed` plus a fixed
+/// stride per replica. Replica 0 keeps the base seed, so a 1-replica
+/// portfolio explores the same constructions as a plain solve.
+uint64_t ReplicaSeed(uint64_t base_seed, int32_t replica);
+
 /// Counters from the last PortfolioSolver::Solve(), for reports and
 /// tests. All fields are computed after the worker pool joins; only
 /// `winning_replica` and `replica_p` are thread-count invariant (the

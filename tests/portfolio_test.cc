@@ -115,6 +115,106 @@ TEST(PortfolioTest, FactSolverDelegatesWhenReplicasRequested) {
   EXPECT_DOUBLE_EQ(via_fact->heterogeneity, via_portfolio->heterogeneity);
 }
 
+// One constraint per evaluation family (extrema / centrality / counting),
+// as in the paper's enriched queries.
+std::vector<Constraint> EnrichedConstraints() {
+  return {Constraint::Min("POP16UP", kNoLowerBound, 3000),
+          Constraint::Avg("EMPLOYED", 1500, 3500),
+          Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)};
+}
+
+Solution PlainSolve(const AreaSet& areas, const std::vector<Constraint>& cs,
+                    SolverOptions options) {
+  options.portfolio_replicas = 1;
+  auto solver = FactSolver::Create(&areas, cs, options);
+  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
+  auto sol = solver->Solve();
+  EXPECT_TRUE(sol.ok()) << sol.status().ToString();
+  return std::move(sol).value();
+}
+
+TEST(PortfolioTest, OneReplicaPortfolioIsThePlainSolve) {
+  // A replica is a plain solve on replica 0's seed, which is the base seed:
+  // same assignment, bit-equal heterogeneity, same tabu walk.
+  for (int32_t n : {300, 1000}) {
+    auto areas = synthetic::MakeDefaultDataset("pf-one", n, /*seed=*/7);
+    ASSERT_TRUE(areas.ok()) << areas.status().ToString();
+    for (const std::vector<Constraint>& cs :
+         {SumConstraint(), EnrichedConstraints()}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SolverOptions options;
+        options.seed = seed;
+        options.tabu_max_iterations = 2000;
+        const Solution plain = PlainSolve(*areas, cs, options);
+
+        options.portfolio_replicas = 1;
+        auto portfolio = PortfolioSolver::Create(&*areas, cs, options);
+        ASSERT_TRUE(portfolio.ok()) << portfolio.status().ToString();
+        auto sol = portfolio->Solve();
+        ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+
+        const std::string where = "n=" + std::to_string(n) +
+                                  " constraints=" + std::to_string(cs.size()) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(sol->region_of, plain.region_of) << where;
+        EXPECT_EQ(sol->heterogeneity, plain.heterogeneity) << where;
+        EXPECT_EQ(sol->tabu_result.iterations, plain.tabu_result.iterations)
+            << where;
+        EXPECT_EQ(sol->tabu_result.moves_applied,
+                  plain.tabu_result.moves_applied)
+            << where;
+      }
+    }
+  }
+}
+
+TEST(PortfolioTest, WinnerIsThePlainSolveOfItsReplicaSeed) {
+  // Without the incumbent cutoff every replica runs its full chain, so the
+  // portfolio returns the best plain solve over the derived replica seeds.
+  constexpr int32_t kReplicas = 4;
+  for (int32_t n : {300, 1000}) {
+    auto areas = synthetic::MakeDefaultDataset("pf-winner", n, /*seed=*/3);
+    ASSERT_TRUE(areas.ok()) << areas.status().ToString();
+    std::vector<Constraint> cs = SumConstraint();
+    SolverOptions options;
+    options.seed = 11;
+    options.tabu_max_iterations = 2000;
+
+    int32_t best_replica = -1;
+    ReplicaScore best;
+    std::vector<Solution> plain;
+    for (int32_t replica = 0; replica < kReplicas; ++replica) {
+      SolverOptions replica_options = options;
+      replica_options.seed = ReplicaSeed(options.seed, replica);
+      plain.push_back(PlainSolve(*areas, cs, replica_options));
+      ReplicaScore score{plain.back().p(), plain.back().heterogeneity,
+                         replica};
+      if (best_replica < 0 || BeatsInReduction(score, best)) {
+        best_replica = replica;
+        best = score;
+      }
+    }
+
+    options.portfolio_replicas = kReplicas;
+    options.portfolio_threads = 2;
+    options.portfolio_share_incumbent = false;
+    auto portfolio = PortfolioSolver::Create(&*areas, cs, options);
+    ASSERT_TRUE(portfolio.ok()) << portfolio.status().ToString();
+    auto sol = portfolio->Solve();
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+
+    EXPECT_EQ(portfolio->stats().winning_replica, best_replica) << "n=" << n;
+    const Solution& winner = plain[static_cast<size_t>(best_replica)];
+    EXPECT_EQ(sol->region_of, winner.region_of) << "n=" << n;
+    EXPECT_EQ(sol->heterogeneity, winner.heterogeneity) << "n=" << n;
+    for (int32_t replica = 0; replica < kReplicas; ++replica) {
+      EXPECT_EQ(portfolio->stats().replica_p[static_cast<size_t>(replica)],
+                plain[static_cast<size_t>(replica)].p())
+          << "n=" << n << " replica=" << replica;
+    }
+  }
+}
+
 TEST(PortfolioTest, ShareIncumbentNeverChangesTheWinner) {
   // The incumbent cutoff may skip local search for provably-losing
   // replicas; the returned solution must be unchanged either way.

@@ -241,7 +241,8 @@ uint64_t Fnv1aAssignment(const Solution& s) {
   return h;
 }
 
-std::string SolveFingerprint(const std::string& solver_name) {
+std::string SolveFingerprint(const std::string& solver_name,
+                             int32_t portfolio_replicas = 1) {
   auto areas = synthetic::MakeDefaultDataset("golden9", 300, /*seed=*/17);
   EXPECT_TRUE(areas.ok());
   SolverSpec spec;
@@ -258,6 +259,10 @@ std::string SolveFingerprint(const std::string& solver_name) {
     spec.threshold = 20000.0;
   }
   spec.options.seed = 1234;
+  if (portfolio_replicas > 1) {
+    spec.options.portfolio_replicas = portfolio_replicas;
+    spec.options.portfolio_threads = 2;
+  }
   auto solver = CreateSolver(spec);
   if (!solver.ok()) return "create-error: " + solver.status().ToString();
   auto sol = (*solver)->Solve();
@@ -272,6 +277,11 @@ std::string SolveFingerprint(const std::string& solver_name) {
 
 TEST(ConstructionGoldenTest, FactFixedSeedSolutionPinned) {
   EXPECT_EQ(SolveFingerprint("fact"), "p=32 u=0 hash=a6d8ceeab99800be het=485642.03758292162");
+}
+
+TEST(ConstructionGoldenTest, FactFourReplicaPortfolioSolutionPinned) {
+  EXPECT_EQ(SolveFingerprint("fact", /*portfolio_replicas=*/4),
+            "p=34 u=0 hash=ed5907e71f34708d het=608514.6816570852");
 }
 
 TEST(ConstructionGoldenTest, MaxpFixedSeedSolutionPinned) {
