@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,11 +17,20 @@
 #include "core/partition.h"
 #include "core/portfolio.h"
 #include "core/run_events.h"
+#include "core/ticket_pool.h"
 #include "graph/connectivity.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace emp {
+
+namespace {
+
+/// Re-runs of a construction try that errored or produced no region, each
+/// under its own derived RNG stream.
+constexpr int kConstructionRetries = 2;
+
+}  // namespace
 
 FactSolver::FactSolver(const AreaSet* areas,
                        std::vector<Constraint> constraints,
@@ -55,28 +63,38 @@ Result<Solution> FactSolver::Solve(const RunContext& ctx) {
   events.RunBegin(options_, *areas_);
   Stopwatch run_timer;
   // Multi-start portfolio requested: run N independent replicas and
-  // reduce deterministically. The portfolio re-enters SolveSinglePass
-  // through child contexts without observation sinks, so the bracket
+  // reduce deterministically. Replicas run Construct and LocalSearch
+  // under child contexts without observation sinks, so the bracket
   // written here stays the run's only run_start/run_end pair.
   Result<Solution> result = [&]() -> Result<Solution> {
-    if (options_.portfolio_replicas <= 1) return SolveSinglePass(ctx);
-    PortfolioSolver portfolio(areas_, constraints_, options_);
-    Result<Solution> reduced = portfolio.Solve(ctx);
-    portfolio_stats_ = portfolio.stats();
-    return reduced;
+    if (options_.portfolio_replicas > 1) {
+      PortfolioSolver portfolio(areas_, constraints_, options_);
+      Result<Solution> reduced = portfolio.Solve(ctx);
+      portfolio_stats_ = portfolio.stats();
+      return reduced;
+    }
+    Stopwatch solve_timer;
+    EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
+                         BoundConstraints::Create(areas_, constraints_));
+    obs::ScopedSpan solve_span(ctx.trace, "solve");
+    EMP_ASSIGN_OR_RETURN(Constructed run, Construct(bound, ctx));
+    // A plain solve polishes whatever construction returned, interrupted
+    // or not; a tripped context stops tabu at its first checkpoint.
+    if (options_.run_local_search && run.partition.NumRegions() > 0) {
+      EMP_RETURN_IF_ERROR(LocalSearch(ctx, /*worker=*/0, &run));
+    }
+    FillAssignmentFromPartition(run.partition, &run.solution);
+    RecordRunMetrics(ctx, run.solution, solve_timer.ElapsedSeconds());
+    return std::move(run.solution);
   }();
   events.RunEnd(result, run_timer.ElapsedSeconds());
   return result;
 }
 
-Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
-  EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
-                       BoundConstraints::Create(areas_, constraints_));
-
+Result<FactSolver::Constructed> FactSolver::Construct(
+    const BoundConstraints& bound, const RunContext& ctx) const {
   obs::MetricRegistry* metrics = ctx.metrics;
   RunEvents events(ctx);
-  Stopwatch solve_timer;
-  obs::ScopedSpan solve_span(ctx.trace, "solve");
 
   // ---- Phase 1: feasibility. ----------------------------------------
   events.PhaseBegin("feasibility");
@@ -97,12 +115,10 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
       // Interrupted before the verdict: the scan is incomplete, so neither
       // feasibility nor infeasibility is proven. The only safe best-effort
       // answer is the empty solution (p = 0, everything unassigned).
-      Solution degraded;
-      degraded.feasibility = std::move(feasibility);
-      degraded.feasibility_seconds = feasibility_seconds;
-      degraded.termination_reason = *reason;
-      Partition empty(&bound);
-      FillAssignmentFromPartition(empty, &degraded);
+      Constructed degraded{Partition(&bound), Solution()};
+      degraded.solution.feasibility = std::move(feasibility);
+      degraded.solution.feasibility_seconds = feasibility_seconds;
+      degraded.solution.termination_reason = *reason;
       return degraded;
     }
   }
@@ -138,7 +154,6 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     obs::ScopedSpan span(ctx.trace, "construction.seeding");
     seeding = SelectSeeds(bound, feasibility);
   }
-  ConnectivityChecker connectivity(&areas_->graph());
 
   // One construction try; iterations are independent so they run on a
   // small worker pool (parallelization is the paper's stated future work).
@@ -214,8 +229,7 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     // Retry policy: an attempt that errored or produced no region at all
     // re-runs under a derived RNG stream. Interrupted attempts are never
     // retried — their best-effort partial is the point.
-    for (int attempt = 1; attempt <= options_.construction_retries;
-         ++attempt) {
+    for (int attempt = 1; attempt <= kConstructionRetries; ++attempt) {
       if (out.interrupted || (out.status.ok() && out.p > 0)) break;
       obs::Add(retries_counter);
       out = run_attempt(iter, attempt);
@@ -282,44 +296,27 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
     }
   };
 
-  if (threads <= 1) {
-    for (int iter = 0; iter < iterations; ++iter) {
-      fold(iter, run_iteration(iter));
-    }
-  } else {
-    // Small worker pool honoring construction_threads exactly: `threads`
-    // workers (this thread included) pull iteration ids from a shared
-    // counter and fold each finished try into the incumbent.
-    obs::Histogram* per_thread = obs::GetHistogram(
-        metrics, "emp_construction_iterations_per_thread",
-        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-    std::atomic<int> next_iteration{0};
-    auto drain = [&]() {
-      int64_t processed = 0;
-      int iter;
-      while ((iter = next_iteration.fetch_add(
-                  1, std::memory_order_relaxed)) < iterations) {
-        fold(iter, run_iteration(iter));
-        ++processed;
-      }
-      obs::Observe(per_thread, static_cast<double>(processed));
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads - 1));
-    for (int t = 1; t < threads; ++t) pool.emplace_back(drain);
-    drain();
-    for (std::thread& worker : pool) worker.join();
-  }
+  // Honors construction_threads exactly; the calling thread is a worker.
+  RunTicketPool(
+      iterations, threads,
+      [&](int iter) { fold(iter, run_iteration(iter)); },
+      /*stop=*/nullptr,
+      threads > 1 ? obs::GetHistogram(
+                        metrics, "emp_construction_iterations_per_thread",
+                        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
+                  : nullptr);
   EMP_RETURN_IF_ERROR(error);
 
-  Solution solution;
+  Constructed constructed{std::move(*best), Solution()};
+  Solution& solution = constructed.solution;
   solution.feasibility = std::move(feasibility);
   solution.feasibility_seconds = feasibility_seconds;
   solution.growing_stats = best_growing;
   solution.adjust_stats = best_adjust;
   solution.completed_construction_iterations = completed_iterations;
   solution.construction_seconds = construction_timer.ElapsedSeconds();
-  solution.heterogeneity_before_local_search = ComputeHeterogeneity(*best);
+  solution.heterogeneity_before_local_search =
+      ComputeHeterogeneity(constructed.partition);
   if (construction_trip.has_value()) {
     solution.termination_reason = *construction_trip;
     events.Termination("construction", *construction_trip);
@@ -347,44 +344,47 @@ Result<Solution> FactSolver::SolveSinglePass(const RunContext& ctx) {
         ->Set(solution.construction_seconds);
   }
 
-  // ---- Phase 3: Tabu local search (p is fixed). -----------------------
-  if (options_.run_local_search && best_p > 0) {
-    events.PhaseBegin("tabu");
-    Stopwatch tabu_timer;
-    obs::ScopedSpan span(ctx.trace, "tabu");
-    PhaseSupervisor supervisor(&ctx, "tabu");
-    EMP_ASSIGN_OR_RETURN(solution.tabu_result,
-                         TabuSearch(options_, &connectivity, &*best,
-                                    /*objective=*/nullptr, &supervisor));
-    solution.local_search_seconds = tabu_timer.ElapsedSeconds();
-    solution.heterogeneity = solution.tabu_result.final_heterogeneity;
-    if (solution.termination_reason == TerminationReason::kConverged) {
-      solution.termination_reason = solution.tabu_result.termination;
-    }
-    if (solution.tabu_result.termination != TerminationReason::kConverged) {
-      events.Termination("tabu", solution.tabu_result.termination);
-    }
-    events.TabuEnd(solution.tabu_result, solution.local_search_seconds);
-    obs::Set(obs::GetGauge(metrics, "emp_tabu_seconds"),
-             solution.local_search_seconds);
-  } else {
-    solution.heterogeneity = solution.heterogeneity_before_local_search;
-    solution.tabu_result.initial_heterogeneity = solution.heterogeneity;
-    solution.tabu_result.final_heterogeneity = solution.heterogeneity;
-  }
+  // Until LocalSearch runs, the constructed partition is the answer.
+  solution.heterogeneity = solution.heterogeneity_before_local_search;
+  solution.tabu_result.initial_heterogeneity = solution.heterogeneity;
+  solution.tabu_result.final_heterogeneity = solution.heterogeneity;
+  return constructed;
+}
 
-  // ---- Extract the final assignment. ----------------------------------
-  FillAssignmentFromPartition(*best, &solution);
-  if (metrics != nullptr) {
-    obs::GetCounter(metrics, "emp_solver_evaluations_total")
-        ->Add(ctx.evaluations());
-    obs::GetGauge(metrics, "emp_solver_seconds")
-        ->Set(solve_timer.ElapsedSeconds());
-    obs::GetGauge(metrics, "emp_solution_p")->Set(solution.p());
-    obs::GetGauge(metrics, "emp_solution_heterogeneity")
-        ->Set(solution.heterogeneity);
+Status FactSolver::LocalSearch(const RunContext& ctx, int64_t worker,
+                               Constructed* run) const {
+  RunEvents events(ctx);
+  events.PhaseBegin("tabu");
+  ConnectivityChecker connectivity(&areas_->graph());
+  Stopwatch tabu_timer;
+  obs::ScopedSpan span(ctx.trace, "tabu", worker);
+  PhaseSupervisor supervisor(&ctx, "tabu", worker);
+  Solution& solution = run->solution;
+  EMP_ASSIGN_OR_RETURN(solution.tabu_result,
+                       TabuSearch(options_, &connectivity, &run->partition,
+                                  /*objective=*/nullptr, &supervisor));
+  solution.local_search_seconds = tabu_timer.ElapsedSeconds();
+  solution.heterogeneity = solution.tabu_result.final_heterogeneity;
+  if (solution.termination_reason == TerminationReason::kConverged) {
+    solution.termination_reason = solution.tabu_result.termination;
   }
-  return solution;
+  if (solution.tabu_result.termination != TerminationReason::kConverged) {
+    events.Termination("tabu", solution.tabu_result.termination);
+  }
+  events.TabuEnd(solution.tabu_result, solution.local_search_seconds);
+  obs::Set(obs::GetGauge(ctx.metrics, "emp_tabu_seconds"),
+           solution.local_search_seconds);
+  return Status::OK();
+}
+
+void FactSolver::RecordRunMetrics(const RunContext& ctx,
+                                  const Solution& solution, double seconds) {
+  obs::MetricRegistry* metrics = ctx.metrics;
+  if (metrics == nullptr) return;
+  metrics->GetCounter("emp_solver_evaluations_total")->Add(ctx.evaluations());
+  metrics->GetGauge("emp_solver_seconds")->Set(seconds);
+  metrics->GetGauge("emp_solution_p")->Set(solution.p());
+  metrics->GetGauge("emp_solution_heterogeneity")->Set(solution.heterogeneity);
 }
 
 Result<Solution> SolveEmp(const AreaSet& areas,

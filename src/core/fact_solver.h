@@ -5,6 +5,7 @@
 
 #include "common/result.h"
 #include "constraints/constraint.h"
+#include "core/partition.h"
 #include "core/portfolio.h"
 #include "core/run_context.h"
 #include "core/solution.h"
@@ -85,15 +86,35 @@ class FactSolver : public Solver {
   const PortfolioStats& portfolio_stats() const { return portfolio_stats_; }
 
  private:
-  /// The portfolio enters replicas through SolveSinglePass directly, so a
-  /// replica never re-emits the run bracket (RunEvents::RunBegin/RunEnd)
-  /// its parent owns.
+  /// A portfolio replica runs Construct and LocalSearch, the same two
+  /// steps as a plain solve, under a child context. Only Solve(ctx) and
+  /// PortfolioSolver::Solve write the run bracket and the run-level
+  /// metrics, so replicas never do.
   friend class PortfolioSolver;
 
-  /// One construction → local-search chain (portfolio_replicas ignored).
-  /// Solve(ctx) wraps this with the run bracket and the portfolio
-  /// delegation.
-  Result<Solution> SolveSinglePass(const RunContext& ctx);
+  /// A solve after phases 1 and 2: the best constructed partition and
+  /// every Solution field known so far. The assignment is not filled yet;
+  /// the heterogeneity is the constructed one.
+  struct Constructed {
+    Partition partition;
+    Solution solution;
+  };
+
+  /// Phases 1 and 2 (feasibility, best-of-k construction) against
+  /// `bound`, which must outlive the returned partition. A feasibility
+  /// phase cut short yields an empty partition and the trip verdict.
+  Result<Constructed> Construct(const BoundConstraints& bound,
+                                const RunContext& ctx) const;
+
+  /// Phase 3: tabu on `run->partition` at constant p, recorded into
+  /// `run->solution`. Spans and checkpoints are tagged with `worker`.
+  Status LocalSearch(const RunContext& ctx, int64_t worker,
+                     Constructed* run) const;
+
+  /// The whole-run metrics (evaluations, seconds, p, heterogeneity),
+  /// written once by whichever object returns the run's Solution.
+  static void RecordRunMetrics(const RunContext& ctx,
+                               const Solution& solution, double seconds);
 
   const AreaSet* areas_;
   std::vector<Constraint> constraints_;

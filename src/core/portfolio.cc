@@ -5,16 +5,14 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "core/fact_solver.h"
-#include "core/local_search/tabu.h"
 #include "core/partition.h"
 #include "core/run_events.h"
-#include "graph/connectivity.h"
+#include "core/ticket_pool.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -56,19 +54,6 @@ struct ReplicaOutcome {
   std::optional<Solution> solution;
 };
 
-/// Rebuilds a construction partition from a solution's assignment so the
-/// local-search phase can continue where the replica's construction-only
-/// solve left off.
-void RebuildPartition(const Solution& solution, Partition* partition) {
-  for (int32_t a : solution.feasibility.invalid_areas) {
-    partition->Deactivate(a);
-  }
-  for (const std::vector<int32_t>& members : solution.regions) {
-    const int32_t rid = partition->CreateRegion();
-    for (int32_t a : members) partition->Assign(a, rid);
-  }
-}
-
 }  // namespace
 
 PortfolioSolver::PortfolioSolver(const AreaSet* areas,
@@ -99,9 +84,10 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   if (areas_ == nullptr) {
     return Status::InvalidArgument("PortfolioSolver: null area set");
   }
-  // Surface malformed constraints here, before any thread spawns; each
-  // replica rebuilds its own bound (cheap, pointers into areas_).
-  EMP_RETURN_IF_ERROR(BoundConstraints::Create(areas_, constraints_).status());
+  // Bind once, before any thread spawns: malformed constraints surface
+  // here, and every replica's partitions read this one bound.
+  EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
+                       BoundConstraints::Create(areas_, constraints_));
 
   const int32_t replicas = options_.portfolio_replicas;
   const int threads = std::max(
@@ -129,12 +115,10 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
 
     // Replicas are single-threaded internally (the solve's parallelism
     // budget is portfolio_threads) and never re-enter the portfolio.
-    // Local search is run below, after the incumbent consult.
     SolverOptions replica_options = options_;
     replica_options.seed = ReplicaSeed(options_.seed, replica);
     replica_options.portfolio_replicas = 1;
     replica_options.construction_threads = 1;
-    replica_options.run_local_search = false;
 
     // Child supervision context: shares the caller's deadline, evaluation
     // budget (same counter), metrics and trace, but owns its cancellation
@@ -162,15 +146,19 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
       return std::nullopt;
     };
 
-    FactSolver solver(areas_, constraints_, replica_options);
-    Result<Solution> constructed = solver.SolveSinglePass(child);
+    // The same two steps as a plain solve; local search runs below, after
+    // the incumbent consult.
+    const FactSolver solver(areas_, constraints_, replica_options);
+    Result<FactSolver::Constructed> constructed = [&] {
+      obs::ScopedSpan solve_span(child.trace, "solve");
+      return solver.Construct(bound, child);
+    }();
     if (!constructed.ok()) {
       out.status = constructed.status();
       return;
     }
-    out.solution = std::move(constructed).value();
-    Solution& solution = *out.solution;
-    const int32_t p = solution.p();
+    FactSolver::Constructed& run = *constructed;
+    const int32_t p = run.partition.NumRegions();
 
     // Publish the constructed p, then consult: p never changes in local
     // search, so the incumbent is final as far as the reduction's primary
@@ -206,51 +194,28 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
       }
     }
 
-    if (!options_.run_local_search || p <= 0) return;
-    if (solution.termination_reason != TerminationReason::kConverged) {
-      return;  // Degraded construction: its partial competes as-is.
-    }
-    if (stop_new_replicas.load(std::memory_order_relaxed)) return;
-    if (options_.portfolio_share_incumbent && p < incumbent_p) {
+    // Degraded constructions and replicas past a target hit compete with
+    // their constructed partition as-is.
+    bool polish = options_.run_local_search && p > 0 &&
+                  run.solution.termination_reason ==
+                      TerminationReason::kConverged &&
+                  !stop_new_replicas.load(std::memory_order_relaxed);
+    if (polish && options_.portfolio_share_incumbent && p < incumbent_p) {
       // Provably losing on p; heterogeneity polish cannot change that.
       out.tabu_skipped = true;
-      return;
+      polish = false;
     }
-
-    Result<BoundConstraints> bound =
-        BoundConstraints::Create(areas_, constraints_);
-    if (!bound.ok()) {
-      out.status = bound.status();
-      return;
+    if (polish) {
+      events.Replica(replica, obs::ReplicaState::kLocalSearch);
+      out.status = solver.LocalSearch(child, /*worker=*/replica, &run);
+      if (!out.status.ok()) return;
     }
-    events.Replica(replica, obs::ReplicaState::kLocalSearch);
-    Partition partition(&*bound);
-    RebuildPartition(solution, &partition);
-    ConnectivityChecker connectivity(&areas_->graph());
-    Stopwatch tabu_timer;
-    obs::ScopedSpan tabu_span(ctx.trace, "tabu", /*worker=*/replica);
-    PhaseSupervisor supervisor(&child, "tabu", /*worker=*/replica);
-    Result<TabuResult> tabu =
-        TabuSearch(replica_options, &connectivity, &partition,
-                   /*objective=*/nullptr, &supervisor);
-    if (!tabu.ok()) {
-      out.status = tabu.status();
-      return;
-    }
-    solution.tabu_result = std::move(tabu).value();
-    solution.local_search_seconds = tabu_timer.ElapsedSeconds();
-    solution.heterogeneity = solution.tabu_result.final_heterogeneity;
-    if (solution.termination_reason == TerminationReason::kConverged) {
-      solution.termination_reason = solution.tabu_result.termination;
-    }
-    FillAssignmentFromPartition(partition, &solution);
+    FillAssignmentFromPartition(run.partition, &run.solution);
+    out.solution = std::move(run.solution);
   };
 
-  // Ticket-counter worker pool, same shape as the construction pool:
-  // `threads` workers (this thread included) pull replica ids from a
-  // shared counter; outcomes land in pre-sized slots, so the only
-  // synchronization is the counter, the incumbent lock, and the joins.
-  std::atomic<int32_t> next_replica{0};
+  // Outcomes land in pre-sized slots, so the only synchronization is the
+  // ticket counter, the incumbent lock, and the joins.
   std::atomic<int32_t> replicas_finished{0};
   auto finish_replica = [&](int32_t replica) {
     const int32_t finished =
@@ -271,24 +236,13 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     events.Checkpoint("portfolio", finished);
     events.Work(finished, replicas);
   };
-  auto drain = [&]() {
-    int32_t replica;
-    while (!stop_new_replicas.load(std::memory_order_relaxed) &&
-           (replica = next_replica.fetch_add(
-                1, std::memory_order_relaxed)) < replicas) {
-      run_replica(replica);
-      finish_replica(replica);
-    }
-  };
-  if (threads <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(threads - 1));
-    for (int t = 1; t < threads; ++t) pool.emplace_back(drain);
-    drain();
-    for (std::thread& worker : pool) worker.join();
-  }
+  RunTicketPool(
+      replicas, threads,
+      [&](int32_t replica) {
+        run_replica(replica);
+        finish_replica(replica);
+      },
+      &stop_new_replicas);
 
   // Deterministic reduction. Errors first, by replica index, so a failing
   // portfolio reports the same error at any thread count.
@@ -360,7 +314,10 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
         ->Set(portfolio_timer.ElapsedSeconds());
   }
 
-  return std::move(*outcomes[static_cast<size_t>(winner)].solution);
+  Solution& solution = *outcomes[static_cast<size_t>(winner)].solution;
+  FactSolver::RecordRunMetrics(ctx, solution,
+                               portfolio_timer.ElapsedSeconds());
+  return std::move(solution);
 }
 
 }  // namespace emp

@@ -340,6 +340,52 @@ TEST(PortfolioTest, MetricsCoverThePortfolioPhase) {
             3 * options.construction_iterations);
 }
 
+TEST(PortfolioTest, RunLevelMetricsDescribeTheReturnedSolution) {
+  // The object that returns the run's Solution writes the run-level
+  // metrics once; replicas sharing the registry and the evaluation
+  // counter must not overwrite or re-add them.
+  auto areas = synthetic::MakeDefaultDataset("pf-run", 1000, /*seed=*/5);
+  ASSERT_TRUE(areas.ok()) << areas.status().ToString();
+  std::vector<Constraint> cs = SumConstraint();
+  for (int threads : {1, 4}) {
+    for (bool via_fact : {false, true}) {
+      SolverOptions options;
+      options.seed = 5;
+      options.tabu_max_iterations = 2000;
+      options.portfolio_replicas = 4;
+      options.portfolio_threads = threads;
+      obs::MetricRegistry registry;
+      RunContext ctx = MakeRunContext(options);
+      ctx.metrics = &registry;
+      Result<Solution> sol = Status::Internal("not run");
+      if (via_fact) {
+        auto solver = FactSolver::Create(&*areas, cs, options);
+        ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+        sol = solver->Solve(ctx);
+      } else {
+        auto solver = PortfolioSolver::Create(&*areas, cs, options);
+        ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+        sol = solver->Solve(ctx);
+      }
+      ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+      const std::string where = "threads=" + std::to_string(threads) +
+                                (via_fact ? " via FactSolver" : "");
+      EXPECT_EQ(registry.GetGauge("emp_solution_p")->value(),
+                static_cast<double>(sol->p()))
+          << where;
+      EXPECT_EQ(registry.GetGauge("emp_solution_heterogeneity")->value(),
+                sol->heterogeneity)
+          << where;
+      EXPECT_EQ(registry.GetCounter("emp_solver_evaluations_total")->value(),
+                ctx.evaluations())
+          << where;
+      EXPECT_GT(ctx.evaluations(), 0) << where;
+      EXPECT_GT(registry.GetGauge("emp_solver_seconds")->value(), 0.0)
+          << where;
+    }
+  }
+}
+
 TEST(PortfolioTest, CreateRejectsBadOptions) {
   auto areas = synthetic::MakeDefaultDataset("pf-bad", 50, /*seed=*/1);
   ASSERT_TRUE(areas.ok());
