@@ -31,7 +31,8 @@ uint64_t TabuKey(int32_t area, int32_t region) {
 Result<TabuResult> TabuSearch(const SolverOptions& options,
                               ConnectivityChecker* connectivity,
                               Partition* partition, Objective* objective,
-                              PhaseSupervisor* supervisor) {
+                              PhaseSupervisor* supervisor,
+                              const TabuTestSeam* seam) {
   if (connectivity == nullptr || partition == nullptr) {
     return Status::InvalidArgument("TabuSearch: null argument");
   }
@@ -49,7 +50,9 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
       options.tabu_max_no_improve >= 0
           ? options.tabu_max_no_improve
           : static_cast<int64_t>(partition->num_areas());
-  const bool incremental = options.tabu_engine == TabuEngine::kIncremental;
+  const TabuTestSeam no_seam;
+  if (seam == nullptr) seam = &no_seam;
+  const bool incremental = !seam->full_rebuild;
 
   double best_total = tracker.total();
   std::vector<int32_t> best_assignment = SnapshotAssignment(*partition);
@@ -85,7 +88,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   // each candidate's admissibility (constraints + donor contiguity) when
   // they score it and feed the same canonical-order selection below.
   TabuNeighborhood neighborhood(partition, objective, connectivity,
-                                options.tabu_verify_connectivity_cache);
+                                seam->verify_connectivity_cache);
   int64_t pending_scored = incremental ? neighborhood.Rebuild() : 0;
 
   while (no_improve < max_no_improve &&
@@ -150,8 +153,8 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
       if (!neighborhood.status().ok()) return neighborhood.status();
     }
     ++result.moves_applied;
-    if (options.tabu_record_trajectory) {
-      result.trajectory.push_back({mv.area, mv.from, mv.to, mv.delta});
+    if (seam->trajectory != nullptr) {
+      seam->trajectory->push_back({mv.area, mv.from, mv.to, mv.delta});
     }
     // Forbid the reverse move for `tenure` iterations.
     uint64_t reverse = TabuKey(mv.area, mv.from);

@@ -12,15 +12,30 @@
 
 namespace emp {
 
-/// One applied Tabu move, recorded when
-/// SolverOptions::tabu_record_trajectory is set. `delta` is the exact
-/// objective change at application time, so two engines agree only if
-/// their incremental bookkeeping is bit-identical.
+/// One applied Tabu move, recorded into TabuTestSeam::trajectory. `delta`
+/// is the exact objective change at application time, so two engines
+/// agree only if their incremental bookkeeping is bit-identical.
 struct TabuMove {
   int32_t area = -1;
   int32_t from = -1;
   int32_t to = -1;
   double delta = 0.0;
+};
+
+/// Verification switches for TabuSearch. Tests pass one to compare the
+/// neighborhood engines move by move (DESIGN.md §8); no production caller
+/// does, and no option, flag or request field reaches it.
+struct TabuTestSeam {
+  /// Re-enumerate and re-score the whole neighborhood every iteration and
+  /// drop the whole cut cache with it: the pre-incremental reference
+  /// engine. The move sequence is the same; the accounting is not.
+  bool full_rebuild = false;
+  /// Cross-check every cached donor-contiguity verdict against the exact
+  /// BFS when its candidate is scored; a disagreement aborts the search
+  /// with an internal error.
+  bool verify_connectivity_cache = false;
+  /// When set, every applied move is appended here, in order.
+  std::vector<TabuMove>* trajectory = nullptr;
 };
 
 /// Outcome of the Tabu local-search phase.
@@ -34,18 +49,15 @@ struct TabuResult {
   /// rejected as tabu).
   int64_t moves_tried = 0;
   /// Objective MoveDelta evaluations performed by the neighborhood engine
-  /// — the full neighborhood per iteration under TabuEngine::kFullRebuild,
-  /// only the re-scored candidates under kIncremental.
+  /// — only the re-scored candidates, or the full neighborhood per
+  /// iteration under TabuTestSeam::full_rebuild.
   int64_t candidates_scored = 0;
   /// Donor-contiguity queries answered from the articulation cache /
   /// requiring a Tarjan recomputation. Both engines decide verdicts
-  /// through the cache; kFullRebuild invalidates all of it on every
-  /// rebuild, kIncremental only the two regions each move mutates.
+  /// through the cache; the incremental one invalidates only the two
+  /// regions each move mutates, the full rebuild all of it every time.
   int64_t cut_cache_hits = 0;
   int64_t cut_cache_misses = 0;
-
-  /// Applied moves in order; filled only under tabu_record_trajectory.
-  std::vector<TabuMove> trajectory;
 
   /// kConverged on a natural stop (no-improve limit / empty neighborhood);
   /// otherwise the supervision verdict that cut the search short. Either
@@ -75,9 +87,9 @@ class Objective;
 ///
 /// Candidates are tried in the canonical (delta, area, to) order, so the
 /// move sequence is a pure function of the instance and options —
-/// independent of the neighborhood engine (options.tabu_engine): the
-/// default incremental engine re-scores only candidates incident to the
-/// two regions mutated by each move, while kFullRebuild re-enumerates
+/// independent of the neighborhood engine: the incremental engine
+/// re-scores only candidates incident to the two regions mutated by each
+/// move, while the reference engine (`seam->full_rebuild`) re-enumerates
 /// everything per iteration. Either way a candidate's admissibility is
 /// decided when it is scored (donor contiguity from a per-region
 /// articulation-point cache) and selection visits admissible candidates
@@ -93,11 +105,15 @@ class Objective;
 /// evaluation charged per candidate move scored; a trip stops the search
 /// and — like a natural stop — restores the best (always feasible)
 /// partition, recording the verdict in TabuResult::termination.
+///
+/// `seam` (tests only) selects the reference engine, the cut-cache
+/// cross-check and trajectory recording; see TabuTestSeam.
 Result<TabuResult> TabuSearch(const SolverOptions& options,
                               ConnectivityChecker* connectivity,
                               Partition* partition,
                               Objective* objective = nullptr,
-                              PhaseSupervisor* supervisor = nullptr);
+                              PhaseSupervisor* supervisor = nullptr,
+                              const TabuTestSeam* seam = nullptr);
 
 }  // namespace emp
 

@@ -68,11 +68,9 @@ void RunEvents::RunBegin(const SolverOptions& options,
     Members(w, "seed", options.seed, "construction_iterations",
             options.construction_iterations, "construction_threads",
             options.construction_threads, "run_local_search",
-            options.run_local_search, "tabu_engine",
-            options.tabu_engine == TabuEngine::kIncremental ? "incremental"
-                                                            : "full-rebuild",
-            "portfolio_replicas", options.portfolio_replicas,
-            "time_budget_ms", options.time_budget_ms, "max_evaluations",
+            options.run_local_search, "portfolio_replicas",
+            options.portfolio_replicas, "time_budget_ms",
+            options.time_budget_ms, "max_evaluations",
             options.max_evaluations);
     w.Key("instance");
     w.BeginInlineObject();

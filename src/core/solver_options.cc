@@ -10,11 +10,6 @@ Status ValidateSolverOptions(const SolverOptions& options) {
         "SolverOptions.construction_iterations must be >= 1 (got " +
         std::to_string(options.construction_iterations) + ")");
   }
-  if (options.construction_retries < 0) {
-    return Status::InvalidArgument(
-        "SolverOptions.construction_retries must be >= 0 (got " +
-        std::to_string(options.construction_retries) + ")");
-  }
   if (options.construction_threads < 1) {
     return Status::InvalidArgument(
         "SolverOptions.construction_threads must be >= 1 (got " +

@@ -17,22 +17,6 @@ enum class PickupOrder {
   kDescending,
 };
 
-/// Neighborhood-maintenance strategy for the Tabu phase (DESIGN.md §8).
-/// Both engines visit candidates in the same canonical (delta, area, to)
-/// order and therefore produce bit-identical move sequences for the same
-/// seed — pinned by tabu_golden_test.
-enum class TabuEngine {
-  /// Candidates persist across iterations; after a move only candidates
-  /// incident to the two mutated regions' boundaries are re-scored, and
-  /// donor contiguity is answered from a per-region articulation-point
-  /// cache instead of one BFS per candidate. Default.
-  kIncremental,
-  /// Re-enumerates and re-scores the whole neighborhood every iteration
-  /// and runs the BFS per tried candidate — the pre-incremental behavior,
-  /// kept as the reference for golden trajectory tests and ablations.
-  kFullRebuild,
-};
-
 /// Construction strategy for Phase 2.
 enum class ConstructionStrategy {
   /// The paper's three-step construction (filter/seed → region growing →
@@ -52,11 +36,6 @@ struct SolverOptions {
   /// Construction runs this many independent iterations and keeps the
   /// partition with the highest p (§V-B). Must be >= 1.
   int construction_iterations = 3;
-
-  /// Retry attempts per failed construction iteration: an iteration whose
-  /// construction step errors out is re-run with a derived RNG stream
-  /// instead of aborting the whole solve. 0 disables retries.
-  int construction_retries = 2;
 
   /// Worker threads for the construction iterations (the paper's stated
   /// future work, §VIII: "improve the algorithm performance through
@@ -80,22 +59,6 @@ struct SolverOptions {
   /// Hard cap on total Tabu iterations; -1 = no cap. Benchmarks on very
   /// large maps set this to bound runtime.
   int64_t tabu_max_iterations = -1;
-
-  /// Neighborhood maintenance strategy (see TabuEngine). Both engines
-  /// yield the same move sequence; kFullRebuild exists for verification
-  /// and ablation.
-  TabuEngine tabu_engine = TabuEngine::kIncremental;
-
-  /// Debug flag: cross-check every cached donor-contiguity verdict against
-  /// the exact BFS when its candidate is scored; a disagreement aborts the
-  /// search with an internal error. Off by default (it re-adds the BFS the
-  /// cache exists to skip).
-  bool tabu_verify_connectivity_cache = false;
-
-  /// Record every applied move into TabuResult::trajectory. Used by the
-  /// golden trajectory tests; off by default (the vector would grow with
-  /// the move count).
-  bool tabu_record_trajectory = false;
 
   /// Run the Tabu local-search phase at all (disable to measure the
   /// construction phase alone, as several paper experiments do).

@@ -239,8 +239,6 @@ TEST(FactSolverOptionsTest, BadOptionsNameTheField) {
   const Case cases[] = {
       {[](SolverOptions* o) { o->construction_iterations = 0; },
        "construction_iterations"},
-      {[](SolverOptions* o) { o->construction_retries = -1; },
-       "construction_retries"},
       {[](SolverOptions* o) { o->construction_threads = 0; },
        "construction_threads"},
       {[](SolverOptions* o) { o->avg_merge_limit = -2; }, "avg_merge_limit"},
@@ -363,7 +361,6 @@ TEST(FactSolverSupervisionTest, InterruptionIsNeverRetried) {
   std::vector<Constraint> cs = {Constraint::Sum("pop", 10, kNoUpperBound)};
   SolverOptions options;
   options.construction_iterations = 2;
-  options.construction_retries = 5;
   options.construction_threads = 1;
   RunContext ctx = FaultAt("construction", 0);
   auto sol = SolveEmp(areas, cs, options, &ctx);

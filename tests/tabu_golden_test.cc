@@ -33,11 +33,19 @@ struct GoldenSetup {
   ConnectivityChecker connectivity;
 };
 
-/// Runs TabuSearch with the given engine, recording the trajectory and
-/// cross-checking the articulation cache against BFS on every verdict.
-TabuResult RunEngine(const AreaSet& areas, std::vector<Constraint> cs,
+enum class Engine { kIncremental, kFullRebuild };
+
+/// A tabu run's result plus the moves it applied.
+struct EngineWalk : TabuResult {
+  std::vector<TabuMove> trajectory;
+};
+
+/// Runs TabuSearch with the given engine through the test seam, recording
+/// the trajectory and cross-checking the articulation cache against BFS
+/// on every verdict.
+EngineWalk RunEngine(const AreaSet& areas, std::vector<Constraint> cs,
                      const std::vector<std::pair<int32_t, int32_t>>& seed_plan,
-                     int32_t num_regions, TabuEngine engine) {
+                     int32_t num_regions, Engine engine) {
   GoldenSetup setup(&areas, std::move(cs));
   std::vector<int32_t> rids;
   for (int32_t i = 0; i < num_regions; ++i) {
@@ -48,18 +56,23 @@ TabuResult RunEngine(const AreaSet& areas, std::vector<Constraint> cs,
   }
   SolverOptions options;
   options.tabu_max_no_improve = 64;
-  options.tabu_engine = engine;
-  options.tabu_record_trajectory = true;
-  options.tabu_verify_connectivity_cache = true;
-  auto result = TabuSearch(options, &setup.connectivity, &setup.partition);
+  EngineWalk walk;
+  TabuTestSeam seam;
+  seam.full_rebuild = engine == Engine::kFullRebuild;
+  seam.verify_connectivity_cache = true;
+  seam.trajectory = &walk.trajectory;
+  auto result = TabuSearch(options, &setup.connectivity, &setup.partition,
+                           /*objective=*/nullptr, /*supervisor=*/nullptr,
+                           &seam);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(ComputeHeterogeneity(setup.partition),
               result->final_heterogeneity, 1e-9);
-  return std::move(result).value();
+  static_cast<TabuResult&>(walk) = std::move(result).value();
+  return walk;
 }
 
-void ExpectIdenticalTrajectories(const TabuResult& full,
-                                 const TabuResult& incremental) {
+void ExpectIdenticalTrajectories(const EngineWalk& full,
+                                 const EngineWalk& incremental) {
   EXPECT_EQ(incremental.iterations, full.iterations);
   EXPECT_EQ(incremental.moves_applied, full.moves_applied);
   EXPECT_EQ(incremental.moves_tried, full.moves_tried);
@@ -89,10 +102,10 @@ TEST(TabuGoldenTest, PathInstancePinnedMovePrefix) {
   AreaSet areas = test::PathAreaSet({1, 1, 1, 9, 9, 9});
   std::vector<std::pair<int32_t, int32_t>> seed = {
       {0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 1}, {5, 1}};
-  TabuResult full = RunEngine(areas, {Constraint::Count(1, 6)}, seed, 2,
-                              TabuEngine::kFullRebuild);
-  TabuResult incremental = RunEngine(areas, {Constraint::Count(1, 6)}, seed,
-                                     2, TabuEngine::kIncremental);
+  EngineWalk full = RunEngine(areas, {Constraint::Count(1, 6)}, seed, 2,
+                              Engine::kFullRebuild);
+  EngineWalk incremental = RunEngine(areas, {Constraint::Count(1, 6)}, seed,
+                                     2, Engine::kIncremental);
   ExpectIdenticalTrajectories(full, incremental);
 
   ASSERT_GE(incremental.trajectory.size(), 3u);
@@ -121,10 +134,10 @@ TEST(TabuGoldenTest, TieHeavyGridTrajectoriesIdentical) {
               2, 5, 5, 8, 8, 5, 5, 8, 8, 8}}});
   std::vector<std::pair<int32_t, int32_t>> seed;
   for (int32_t a = 0; a < 25; ++a) seed.push_back({a, a % 5 < 2 ? 0 : 1});
-  TabuResult full = RunEngine(areas, {Constraint::Count(1, 25)}, seed, 2,
-                              TabuEngine::kFullRebuild);
-  TabuResult incremental = RunEngine(areas, {Constraint::Count(1, 25)}, seed,
-                                     2, TabuEngine::kIncremental);
+  EngineWalk full = RunEngine(areas, {Constraint::Count(1, 25)}, seed, 2,
+                              Engine::kFullRebuild);
+  EngineWalk incremental = RunEngine(areas, {Constraint::Count(1, 25)}, seed,
+                                     2, Engine::kIncremental);
   EXPECT_GT(full.moves_applied, 0);
   ExpectIdenticalTrajectories(full, incremental);
 }
@@ -138,21 +151,14 @@ TEST(TabuGoldenTest, SumConstrainedThreeRegionTrajectoriesIdentical) {
               1, 6, 4, 7, 2, 8, 3, 5, 9, 1, 6, 4, 2, 7, 8, 3, 5, 9}}});
   std::vector<std::pair<int32_t, int32_t>> seed;
   for (int32_t a = 0; a < 36; ++a) seed.push_back({a, a / 12});
-  TabuResult full =
+  EngineWalk full =
       RunEngine(areas, {Constraint::Sum("s", 30, kNoUpperBound)}, seed, 3,
-                TabuEngine::kFullRebuild);
-  TabuResult incremental =
+                Engine::kFullRebuild);
+  EngineWalk incremental =
       RunEngine(areas, {Constraint::Sum("s", 30, kNoUpperBound)}, seed, 3,
-                TabuEngine::kIncremental);
+                Engine::kIncremental);
   EXPECT_GT(full.moves_applied, 0);
   ExpectIdenticalTrajectories(full, incremental);
-}
-
-TEST(TabuGoldenTest, IncrementalEngineIsTheDefault) {
-  SolverOptions defaults;
-  EXPECT_EQ(defaults.tabu_engine, TabuEngine::kIncremental);
-  EXPECT_FALSE(defaults.tabu_verify_connectivity_cache);
-  EXPECT_FALSE(defaults.tabu_record_trajectory);
 }
 
 TEST(TabuGoldenTest, CandidateAccountingDiffersButMovesDoNot) {
@@ -173,10 +179,10 @@ TEST(TabuGoldenTest, CandidateAccountingDiffersButMovesDoNot) {
     const int32_t col = a % 8;
     seed.push_back({a, (row / 4) * 2 + (col / 4)});
   }
-  TabuResult full = RunEngine(areas, {Constraint::Count(1, 64)}, seed, 4,
-                              TabuEngine::kFullRebuild);
-  TabuResult incremental = RunEngine(areas, {Constraint::Count(1, 64)}, seed,
-                                     4, TabuEngine::kIncremental);
+  EngineWalk full = RunEngine(areas, {Constraint::Count(1, 64)}, seed, 4,
+                              Engine::kFullRebuild);
+  EngineWalk incremental = RunEngine(areas, {Constraint::Count(1, 64)}, seed,
+                                     4, Engine::kIncremental);
   ExpectIdenticalTrajectories(full, incremental);
   EXPECT_GT(full.candidates_scored, 0);
   EXPECT_GT(incremental.candidates_scored, 0);
@@ -210,10 +216,9 @@ TEST(TabuGoldenTest, EnrichedQueryTrajectoriesIdentical) {
       Constraint::Min("m", kNoLowerBound, 2),
       Constraint::Avg("v", 13, 17),
       Constraint::Sum("s", 230, kNoUpperBound)};
-  TabuResult full =
-      RunEngine(areas, query, seed, 4, TabuEngine::kFullRebuild);
-  TabuResult incremental =
-      RunEngine(areas, query, seed, 4, TabuEngine::kIncremental);
+  EngineWalk full = RunEngine(areas, query, seed, 4, Engine::kFullRebuild);
+  EngineWalk incremental =
+      RunEngine(areas, query, seed, 4, Engine::kIncremental);
   EXPECT_GT(full.moves_applied, 0);
   ExpectIdenticalTrajectories(full, incremental);
 }
