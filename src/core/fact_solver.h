@@ -86,15 +86,12 @@ class FactSolver : public Solver {
   const PortfolioStats& portfolio_stats() const { return portfolio_stats_; }
 
  private:
-  /// A portfolio replica runs Construct and LocalSearch, the same two
-  /// steps as a plain solve, under a child context. Only Solve(ctx) and
-  /// PortfolioSolver::Solve write the run bracket and the run-level
-  /// metrics, so replicas never do.
+  /// Portfolio replicas run Construct and LocalSearch, the same steps as
+  /// a plain solve, under child contexts.
   friend class PortfolioSolver;
 
   /// A solve after phases 1 and 2: the best constructed partition and
-  /// every Solution field known so far. The assignment is not filled yet;
-  /// the heterogeneity is the constructed one.
+  /// every Solution field but the assignment (heterogeneity as built).
   struct Constructed {
     Partition partition;
     Solution solution;
@@ -111,8 +108,8 @@ class FactSolver : public Solver {
   Status LocalSearch(const RunContext& ctx, int64_t worker,
                      Constructed* run) const;
 
-  /// The whole-run metrics (evaluations, seconds, p, heterogeneity),
-  /// written once by whichever object returns the run's Solution.
+  /// Whole-run metrics, written once by the object returning the run's
+  /// Solution (Solve(ctx) or PortfolioSolver::Solve), never by replicas.
   static void RecordRunMetrics(const RunContext& ctx,
                                const Solution& solution, double seconds);
 

@@ -22,19 +22,16 @@ struct TabuMove {
   double delta = 0.0;
 };
 
-/// Verification switches for TabuSearch. Tests pass one to compare the
-/// neighborhood engines move by move (DESIGN.md §8); no production caller
-/// does, and no option, flag or request field reaches it.
+/// Verification switches for TabuSearch, set only by tests (DESIGN.md
+/// §8); no option, flag or request field reaches them.
 struct TabuTestSeam {
-  /// Re-enumerate and re-score the whole neighborhood every iteration and
-  /// drop the whole cut cache with it: the pre-incremental reference
-  /// engine. The move sequence is the same; the accounting is not.
+  /// Re-score the whole neighborhood (and drop the whole cut cache) every
+  /// iteration: the reference engine. Same moves, different accounting.
   bool full_rebuild = false;
   /// Cross-check every cached donor-contiguity verdict against the exact
-  /// BFS when its candidate is scored; a disagreement aborts the search
-  /// with an internal error.
+  /// BFS when scored; a disagreement fails the search.
   bool verify_connectivity_cache = false;
-  /// When set, every applied move is appended here, in order.
+  /// When set, receives every applied move in order.
   std::vector<TabuMove>* trajectory = nullptr;
 };
 
@@ -105,9 +102,7 @@ class Objective;
 /// evaluation charged per candidate move scored; a trip stops the search
 /// and — like a natural stop — restores the best (always feasible)
 /// partition, recording the verdict in TabuResult::termination.
-///
-/// `seam` (tests only) selects the reference engine, the cut-cache
-/// cross-check and trajectory recording; see TabuTestSeam.
+/// `seam` is for tests only; see TabuTestSeam.
 Result<TabuResult> TabuSearch(const SolverOptions& options,
                               ConnectivityChecker* connectivity,
                               Partition* partition,

@@ -270,8 +270,12 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   stats_.winning_replica = winner;
   stats_.threads = threads;
   stats_.replica_p.assign(static_cast<size_t>(replicas), -1);
+  // Post-join, in replica order, so the records are the same at any
+  // thread count.
   for (int32_t replica = 0; replica < replicas; ++replica) {
     const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    events.ReplicaSummary(replica, out.started, out.tabu_skipped,
+                          out.solution.has_value() ? &*out.solution : nullptr);
     if (!out.started) continue;
     ++stats_.replicas_started;
     if (out.tabu_skipped) ++stats_.tabu_skipped;
@@ -281,14 +285,6 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
         ++stats_.replicas_cancelled;
       }
     }
-  }
-
-  // Post-join, in replica order, so the records are the same at any
-  // thread count.
-  for (int32_t replica = 0; replica < replicas; ++replica) {
-    const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
-    events.ReplicaSummary(replica, out.started, out.tabu_skipped,
-                          out.solution.has_value() ? &*out.solution : nullptr);
   }
   events.PortfolioEnd(portfolio_timer.ElapsedSeconds(), winner, best.p);
 

@@ -10,14 +10,11 @@
 
 namespace emp {
 
-/// Runs `fn(i)` once for every index in [0, count) on `threads` workers:
-/// the calling thread plus `threads - 1` spawned ones, each pulling the
-/// next index from a shared ticket counter. Which worker runs an index
-/// depends on timing only, so callers that make `fn(i)` a function of `i`
-/// and reduce by index get thread-count-invariant results. Once `*stop`
-/// is set no further index is handed out; indices already taken finish.
-/// When `per_worker` is non-null, each worker observes how many indices
-/// it ran. Serves the construction best-of-k and the portfolio.
+/// Runs `fn(i)` for every i in [0, count) on `threads` workers (the
+/// calling thread plus `threads - 1` spawned ones) pulling indices from a
+/// shared ticket counter; only *who* runs an index depends on timing.
+/// Once `*stop` is set no further index is handed out. `per_worker`, if
+/// set, observes how many indices each worker ran.
 template <typename Fn>
 void RunTicketPool(int count, int threads, Fn&& fn,
                    const std::atomic<bool>* stop = nullptr,

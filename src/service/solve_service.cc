@@ -58,8 +58,7 @@ Result<int64_t> AsInt(const json::Value& value, std::string_view key) {
 }
 
 /// The remotely settable SolverOptions subset: supervision budgets,
-/// seeds, and the coarse algorithm knobs. Engine-internal debug switches
-/// stay CLI-only.
+/// seeds, and the coarse algorithm knobs.
 Status ApplyOption(const std::string& key, const json::Value& value,
                    SolverOptions& options) {
   if (key == "seed") {
