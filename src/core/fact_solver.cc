@@ -297,14 +297,15 @@ Result<FactSolver::Constructed> FactSolver::Construct(
   };
 
   // Honors construction_threads exactly; the calling thread is a worker.
-  RunTicketPool(
-      iterations, threads,
-      [&](int iter) { fold(iter, run_iteration(iter)); },
-      /*stop=*/nullptr,
-      threads > 1 ? obs::GetHistogram(
-                        metrics, "emp_construction_iterations_per_thread",
-                        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-                  : nullptr);
+  obs::Histogram* per_thread = nullptr;
+  if (threads > 1) {
+    per_thread = obs::GetHistogram(
+        metrics, "emp_construction_iterations_per_thread",
+        {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+  }
+  auto run_and_fold = [&](int iter) { fold(iter, run_iteration(iter)); };
+  RunTicketPool(iterations, threads, run_and_fold, /*stop=*/nullptr,
+                per_thread);
   EMP_RETURN_IF_ERROR(error);
 
   Constructed constructed{std::move(*best), Solution()};

@@ -236,13 +236,11 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     events.Checkpoint("portfolio", finished);
     events.Work(finished, replicas);
   };
-  RunTicketPool(
-      replicas, threads,
-      [&](int32_t replica) {
-        run_replica(replica);
-        finish_replica(replica);
-      },
-      &stop_new_replicas);
+  auto run_and_finish = [&](int32_t replica) {
+    run_replica(replica);
+    finish_replica(replica);
+  };
+  RunTicketPool(replicas, threads, run_and_finish, &stop_new_replicas);
 
   // Deterministic reduction. Errors first, by replica index, so a failing
   // portfolio reports the same error at any thread count.
@@ -311,8 +309,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   }
 
   Solution& solution = *outcomes[static_cast<size_t>(winner)].solution;
-  FactSolver::RecordRunMetrics(ctx, solution,
-                               portfolio_timer.ElapsedSeconds());
+  FactSolver::RecordRunMetrics(ctx, solution, portfolio_timer.ElapsedSeconds());
   return std::move(solution);
 }
 
