@@ -34,7 +34,15 @@ void BM_VoronoiBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_VoronoiBuild)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
+// 50,000 sites span several blocks, which run on the worker pool: real
+// time is the number to read there, as the calling thread's CPU time
+// misses the other workers.
+BENCHMARK(BM_VoronoiBuild)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Arg(50000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KNearest(benchmark::State& state) {
   auto sites = RandomSites(20000, 9);

@@ -11,13 +11,13 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
+#include "common/ticket_pool.h"
 #include "core/construction/seeding.h"
 #include "core/construction/unified_growth.h"
 #include "core/local_search/heterogeneity.h"
 #include "core/partition.h"
 #include "core/portfolio.h"
 #include "core/run_events.h"
-#include "core/ticket_pool.h"
 #include "graph/connectivity.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -297,15 +297,18 @@ Result<FactSolver::Constructed> FactSolver::Construct(
   };
 
   // Honors construction_threads exactly; the calling thread is a worker.
-  obs::Histogram* per_thread = nullptr;
+  auto run_and_fold = [&](int iter) { fold(iter, run_iteration(iter)); };
+  std::vector<int64_t> per_worker;
+  RunTicketPool(iterations, threads, run_and_fold, /*stop=*/nullptr,
+                threads > 1 ? &per_worker : nullptr);
   if (threads > 1) {
-    per_thread = obs::GetHistogram(
+    obs::Histogram* per_thread = obs::GetHistogram(
         metrics, "emp_construction_iterations_per_thread",
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+    for (int64_t ran : per_worker) {
+      obs::Observe(per_thread, static_cast<double>(ran));
+    }
   }
-  auto run_and_fold = [&](int iter) { fold(iter, run_iteration(iter)); };
-  RunTicketPool(iterations, threads, run_and_fold, /*stop=*/nullptr,
-                per_thread);
   EMP_RETURN_IF_ERROR(error);
 
   Constructed constructed{std::move(*best), Solution()};

@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/ticket_pool.h"
 #include "core/fact_solver.h"
 #include "core/partition.h"
 #include "core/run_events.h"
-#include "core/ticket_pool.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/rng.h"
+#include "common/ticket_pool.h"
 #include "data/synthetic/noise_field.h"
 #include "geometry/voronoi.h"
 
@@ -13,6 +14,10 @@ namespace emp {
 namespace synthetic {
 
 namespace {
+
+/// Noise-field samples per block of the worker pool; a map of at most this
+/// many areas samples inline.
+constexpr int64_t kSamplesPerBlock = 4096;
 
 /// Quantile function of a marginal at probability p in (0, 1).
 double Quantile(const AttributeSpec& spec, double p) {
@@ -130,7 +135,7 @@ Result<AreaSet> SynthesizeMap(const MapSpec& spec) {
                          ComputeVoronoi(island.sites, island.frame));
     for (int32_t i = 0; i < n_c; ++i) {
       polygons.push_back(std::move(diagram.cells[static_cast<size_t>(i)]));
-      centroids.push_back(polygons.back().Centroid());
+      centroids.push_back(diagram.centroids[static_cast<size_t>(i)]);
       auto& out = neighbors[static_cast<size_t>(id_offset + i)];
       for (int32_t nb : diagram.neighbors[static_cast<size_t>(i)]) {
         out.push_back(id_offset + nb);
@@ -175,10 +180,15 @@ Result<AreaSet> SynthesizeMap(const MapSpec& spec) {
       // Sample the field at centroids, then rank-normalize to uniform so
       // the smooth and i.i.d. components have equal variance — otherwise
       // the fractal field's compressed range lets noise dominate the blend.
+      // The field draws nothing from `rng`, so the samples run on the pool;
+      // every `rng` draw below stays serial and in area order.
       std::vector<double> smooth(n);
-      for (size_t i = 0; i < n; ++i) {
-        smooth[i] = field.Sample(centroids[i].x, centroids[i].y);
-      }
+      RunBlocks(static_cast<int64_t>(n), kSamplesPerBlock,
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t i = begin; i < end; ++i) {
+                    smooth[i] = field.Sample(centroids[i].x, centroids[i].y);
+                  }
+                });
       std::vector<int32_t> smooth_order(n);
       std::iota(smooth_order.begin(), smooth_order.end(), 0);
       std::sort(smooth_order.begin(), smooth_order.end(),

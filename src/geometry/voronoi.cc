@@ -1,9 +1,13 @@
 #include "geometry/voronoi.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <set>
+#include <cstdint>
+#include <string>
+#include <utility>
 
+#include "common/ticket_pool.h"
 #include "geometry/clip.h"
 #include "geometry/spatial_index.h"
 #include "obs/metrics.h"
@@ -88,52 +92,92 @@ Result<VoronoiDiagram> ComputeVoronoi(const std::vector<Point>& sites,
 
   SpatialGridIndex index(sites);
   const TaggedConvexPolygon frame_poly = FramePolygon(frame);
-  const int n = static_cast<int>(sites.size());
+  const int32_t n = static_cast<int32_t>(sites.size());
 
   VoronoiDiagram diagram;
   diagram.frame = frame;
   diagram.cells.resize(n);
+  diagram.centroids.resize(n);
   diagram.neighbors.assign(n, {});
 
-  std::vector<std::set<int32_t>> adj(n);
-
-  obs::Counter* cells_built =
-      obs::GetCounter(options.metrics, "emp_voronoi_cells_total");
-  obs::Counter* knn_doublings =
-      obs::GetCounter(options.metrics, "emp_voronoi_knn_doublings_total");
-  obs::Counter* uncertified =
-      obs::GetCounter(options.metrics, "emp_voronoi_uncertified_cells_total");
-
-  for (int32_t i = 0; i < n; ++i) {
-    int k = std::min(options.initial_knn, n - 1);
-    CellAttempt attempt;
-    while (true) {
-      attempt = BuildCell(index, i, frame_poly, k);
-      if (attempt.certified || k >= std::min(options.max_knn, n - 1)) break;
-      k = std::min(k * 2, std::min(options.max_knn, n - 1));
-      obs::Add(knn_doublings);
-    }
-    obs::Add(cells_built);
-    if (!attempt.certified) obs::Add(uncertified);
-    if (attempt.cell.empty()) {
-      return Status::InvalidArgument(
-          "ComputeVoronoi: degenerate cell for site " + std::to_string(i) +
-          " (coincident sites?)");
-    }
-    diagram.cells[i] = attempt.cell.ToPolygon();
-    for (int64_t tag : attempt.cell.edge_tags) {
-      if (tag >= 0) {
-        adj[i].insert(static_cast<int32_t>(tag));
+  // Cells are independent, so each worker writes only its own sites'
+  // slots; the join then reads them in site order, and neither the output
+  // nor the error depends on the thread count.
+  std::vector<int32_t> doublings(n, 0);
+  std::vector<uint8_t> certified(n, 0);
+  std::atomic<int32_t> first_degenerate{n};
+  std::atomic<bool> degenerate{false};
+  auto build_block = [&](int64_t begin, int64_t end) {
+    for (int32_t i = static_cast<int32_t>(begin); i < end; ++i) {
+      int k = std::min(options.initial_knn, n - 1);
+      CellAttempt attempt;
+      while (true) {
+        attempt = BuildCell(index, i, frame_poly, k);
+        if (attempt.certified || k >= std::min(options.max_knn, n - 1)) break;
+        k = std::min(k * 2, std::min(options.max_knn, n - 1));
+        ++doublings[i];
       }
+      certified[i] = attempt.certified;
+      if (attempt.cell.empty()) {
+        // Later sites of this block cannot be the lowest failure.
+        int32_t lowest = first_degenerate.load();
+        while (i < lowest &&
+               !first_degenerate.compare_exchange_weak(lowest, i)) {
+        }
+        degenerate.store(true);
+        return;
+      }
+      diagram.cells[i] = attempt.cell.ToPolygon();
+      diagram.centroids[i] = diagram.cells[i].Centroid();
+      std::vector<int32_t>& tags = diagram.neighbors[i];
+      for (int64_t tag : attempt.cell.edge_tags) {
+        if (tag >= 0) tags.push_back(static_cast<int32_t>(tag));
+      }
+      std::sort(tags.begin(), tags.end());
+      tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
     }
+  };
+  // Blocks are handed out in order, so once a degenerate cell stops the
+  // pool every lower site has still been built.
+  RunBlocks(n, kVoronoiBlockSites, build_block, &degenerate);
+
+  // A failed build counts the sites up to the failing one, as a walk in
+  // site order that stops there would.
+  const int32_t failed_at = first_degenerate.load();
+  const int32_t counted = failed_at < n ? failed_at + 1 : n;
+  int64_t total_doublings = 0;
+  int64_t total_uncertified = 0;
+  for (int32_t i = 0; i < counted; ++i) {
+    total_doublings += doublings[i];
+    total_uncertified += certified[i] ? 0 : 1;
+  }
+  obs::Add(obs::GetCounter(options.metrics, "emp_voronoi_cells_total"),
+           counted);
+  obs::Add(obs::GetCounter(options.metrics, "emp_voronoi_knn_doublings_total"),
+           total_doublings);
+  obs::Add(
+      obs::GetCounter(options.metrics, "emp_voronoi_uncertified_cells_total"),
+      total_uncertified);
+  if (failed_at < n) {
+    return Status::InvalidArgument("ComputeVoronoi: degenerate cell for site " +
+                                   std::to_string(failed_at) +
+                                   " (coincident sites?)");
   }
 
   // Symmetrize: floating-point sliver edges can appear on one side only.
+  // Collect the one-sided edges first so every lookup sees sorted lists.
+  std::vector<std::pair<int32_t, int32_t>> missing;
   for (int32_t i = 0; i < n; ++i) {
-    for (int32_t j : adj[i]) adj[j].insert(i);
+    for (int32_t j : diagram.neighbors[i]) {
+      const std::vector<int32_t>& back = diagram.neighbors[j];
+      if (!std::binary_search(back.begin(), back.end(), i)) {
+        missing.emplace_back(j, i);
+      }
+    }
   }
-  for (int32_t i = 0; i < n; ++i) {
-    diagram.neighbors[i].assign(adj[i].begin(), adj[i].end());
+  for (const auto& [j, i] : missing) diagram.neighbors[j].push_back(i);
+  for (const auto& [j, i] : missing) {
+    std::sort(diagram.neighbors[j].begin(), diagram.neighbors[j].end());
   }
   return diagram;
 }

@@ -22,9 +22,15 @@ class MetricRegistry;
 /// average).
 struct VoronoiDiagram {
   std::vector<Polygon> cells;                    // cells[i] belongs to site i
+  std::vector<Point> centroids;                  // cells[i].Centroid()
   std::vector<std::vector<int32_t>> neighbors;   // sorted, symmetric
   Box frame;                                     // the clipping rectangle
 };
+
+/// Sites per block of the cell build. Blocks of consecutive sites run on
+/// the shared worker pool (`RunBlocks`); a diagram of at most this many
+/// sites is built inline on the calling thread.
+inline constexpr int32_t kVoronoiBlockSites = 4096;
 
 /// Options controlling the cell construction.
 struct VoronoiOptions {
@@ -40,7 +46,11 @@ struct VoronoiOptions {
 
 /// Computes the bounded Voronoi diagram of `sites` inside `frame`.
 /// Fails with InvalidArgument when sites are empty, the frame is empty, or
-/// two sites coincide (within 1e-12), which would produce a degenerate cell.
+/// a cell comes out empty, which two sites closer together than their
+/// coordinates' precision can cause; the error names the lowest such site.
+/// (Exactly coincident sites do not fail: they get the same cell.) The
+/// diagram, the error and the counters in `options.metrics` do not depend
+/// on the thread count.
 Result<VoronoiDiagram> ComputeVoronoi(const std::vector<Point>& sites,
                                       const Box& frame,
                                       const VoronoiOptions& options = {});

@@ -1,7 +1,6 @@
 #include "graph/contiguity_graph.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -45,12 +44,24 @@ Result<ContiguityGraph> ContiguityGraph::FromNeighborLists(
       }
     }
   }
-  // Symmetrize and dedupe.
-  std::vector<std::set<int32_t>> adj(static_cast<size_t>(n));
+  // Symmetrize and dedupe: bucket both directions of every listed edge by
+  // endpoint, then sort, unique and compact each node's bucket in place.
+  std::vector<int64_t> start(static_cast<size_t>(n) + 1, 0);
   for (int32_t u = 0; u < n; ++u) {
     for (int32_t v : neighbors[static_cast<size_t>(u)]) {
-      adj[static_cast<size_t>(u)].insert(v);
-      adj[static_cast<size_t>(v)].insert(u);
+      ++start[static_cast<size_t>(u) + 1];
+      ++start[static_cast<size_t>(v) + 1];
+    }
+  }
+  for (int32_t u = 0; u < n; ++u) {
+    start[static_cast<size_t>(u) + 1] += start[static_cast<size_t>(u)];
+  }
+  std::vector<int32_t> both(static_cast<size_t>(start.back()));
+  std::vector<int64_t> fill(start.begin(), start.end() - 1);
+  for (int32_t u = 0; u < n; ++u) {
+    for (int32_t v : neighbors[static_cast<size_t>(u)]) {
+      both[static_cast<size_t>(fill[static_cast<size_t>(u)]++)] = v;
+      both[static_cast<size_t>(fill[static_cast<size_t>(v)]++)] = u;
     }
   }
   ContiguityGraph g;
@@ -58,15 +69,19 @@ Result<ContiguityGraph> ContiguityGraph::FromNeighborLists(
   g.offsets_store_[0] = 0;
   int64_t degree_sum = 0;
   for (int32_t u = 0; u < n; ++u) {
-    degree_sum += static_cast<int64_t>(adj[static_cast<size_t>(u)].size());
+    auto first = both.begin() + start[static_cast<size_t>(u)];
+    auto last = both.begin() + start[static_cast<size_t>(u) + 1];
+    std::sort(first, last);
+    last = std::unique(first, last);
+    // The write cursor never passes the read cursor.
+    for (auto it = first; it != last; ++it) {
+      both[static_cast<size_t>(degree_sum++)] = *it;
+    }
     g.offsets_store_[static_cast<size_t>(u) + 1] = degree_sum;
   }
-  g.neighbors_store_.reserve(static_cast<size_t>(degree_sum));
-  for (int32_t u = 0; u < n; ++u) {
-    g.neighbors_store_.insert(g.neighbors_store_.end(),
-                              adj[static_cast<size_t>(u)].begin(),
-                              adj[static_cast<size_t>(u)].end());
-  }
+  both.resize(static_cast<size_t>(degree_sum));
+  both.shrink_to_fit();
+  g.neighbors_store_ = std::move(both);
   g.offsets_ = g.offsets_store_.data();
   g.neighbors_ = g.neighbors_store_.data();
   g.num_nodes_ = n;

@@ -6,6 +6,8 @@
 #include <span>
 #include <cmath>
 
+#include "common/rng.h"
+#include "data/synthetic/noise_field.h"
 #include "graph/components.h"
 
 namespace emp {
@@ -167,6 +169,41 @@ TEST(CensusSynthesizerTest, AttributesAreSpatiallyAutocorrelated) {
   }
   global_diff /= static_cast<double>(pairs);
   EXPECT_LT(edge_diff, 0.8 * global_diff);
+}
+
+TEST(CensusSynthesizerTest, PurelySpatialAttributeFollowsTheFieldOverBlocks) {
+  // 9,000 areas in two islands: the cells and the noise samples each run
+  // as several blocks on the worker pool. With spatial_weight 1 the value
+  // order is the field's order at the cell centroids, so any sample
+  // written to another area's slot shows as an inversion.
+  MapSpec spec = BasicSpec(9000, 21);
+  spec.num_components = 2;
+  AttributeSpec smooth;
+  smooth.name = "SMOOTH";
+  smooth.marginal = Marginal::kUniform;
+  smooth.param_a = 0.0;
+  smooth.param_b = 1.0;
+  smooth.spatial_weight = 1.0;
+  spec.attributes = {smooth};
+  spec.dissimilarity_attribute = "SMOOTH";
+  auto areas = SynthesizeMap(spec);
+  ASSERT_TRUE(areas.ok()) << areas.status().ToString();
+  EXPECT_EQ(ConnectedComponents(areas->graph()).count, 2);
+  const NoiseField field(spec.seed ^ StableHash64("SMOOTH"),
+                         /*frequency=*/0.12, /*octaves=*/3);
+  const std::span<const double> v = *areas->attributes().ColumnByName("SMOOTH");
+  std::vector<double> sampled(v.size());
+  for (int32_t a = 0; a < areas->num_areas(); ++a) {
+    const Point c = areas->polygon(a).Centroid();
+    sampled[static_cast<size_t>(a)] = field.Sample(c.x, c.y);
+  }
+  int64_t inversions = 0;
+  for (size_t a = 0; a < v.size(); a += 5) {
+    for (size_t b = a + 1; b < v.size(); b += 97) {
+      if ((sampled[a] < sampled[b]) != (v[a] < v[b])) ++inversions;
+    }
+  }
+  EXPECT_EQ(inversions, 0);
 }
 
 TEST(CensusSynthesizerTest, RejectsBadSpecs) {

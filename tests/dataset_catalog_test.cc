@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/components.h"
+
 namespace emp {
 namespace synthetic {
 namespace {
@@ -62,6 +64,24 @@ TEST(DatasetCatalogTest, MakeDefaultDatasetWithComponents) {
   ASSERT_TRUE(areas.ok());
   EXPECT_EQ(areas->num_areas(), 200);
   EXPECT_EQ(areas->name(), "isles");
+}
+
+// The map build runs its cells and noise samples on the worker pool; the
+// digests were recorded from the serial build, so neither the core count
+// nor the block split may change them.
+TEST(DatasetCatalogTest, TenKayDigestIsPinned) {
+  auto areas = MakeCatalogDataset("10k");
+  ASSERT_TRUE(areas.ok());
+  // The digest `emp_cli pack --dataset 10k` prints.
+  EXPECT_EQ(areas->InstanceDigest(), 0x27b07377e6a52551ULL);
+}
+
+TEST(DatasetCatalogTest, MultiIslandDigestIsPinned) {
+  // Three islands of 5,000 areas: each island's cells span two blocks.
+  auto areas = MakeDefaultDataset("isles", 15000, 11, 3);
+  ASSERT_TRUE(areas.ok());
+  EXPECT_EQ(ConnectedComponents(areas->graph()).count, 3);
+  EXPECT_EQ(areas->InstanceDigest(), 0x57dceba6d73873dfULL);
 }
 
 }  // namespace

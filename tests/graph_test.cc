@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
+#include "common/rng.h"
 #include "graph/components.h"
 
 namespace emp {
@@ -39,6 +42,34 @@ TEST(GraphTest, MissingReverseEdgesAreAdded) {
   auto g = ContiguityGraph::FromNeighborLists({{1}, {}, {}});
   ASSERT_TRUE(g.ok());
   EXPECT_TRUE(g->HasEdge(1, 0));
+}
+
+TEST(GraphTest, NeighborListsEqualTheUnionOfBothDirections) {
+  // Random one-sided lists with repeats, checked against a std::set
+  // reference: node u's list is every v with u -> v or v -> u, ascending.
+  Rng rng(17);
+  const int32_t n = 300;
+  std::vector<std::vector<int32_t>> lists(n);
+  std::vector<std::set<int32_t>> reference(n);
+  for (int32_t u = 0; u < n; ++u) {
+    const int64_t degree = rng.UniformInt(0, 8);
+    for (int64_t k = 0; k < degree; ++k) {
+      const int32_t v = static_cast<int32_t>(rng.UniformInt(0, n - 1));
+      if (v == u) continue;
+      lists[static_cast<size_t>(u)].push_back(v);
+      reference[static_cast<size_t>(u)].insert(v);
+      reference[static_cast<size_t>(v)].insert(u);
+    }
+  }
+  auto g = ContiguityGraph::FromNeighborLists(lists);
+  ASSERT_TRUE(g.ok());
+  int64_t degree_sum = 0;
+  for (int32_t u = 0; u < n; ++u) {
+    const std::set<int32_t>& want = reference[static_cast<size_t>(u)];
+    EXPECT_TRUE(std::ranges::equal(g->NeighborsOf(u), want)) << "node " << u;
+    degree_sum += static_cast<int64_t>(want.size());
+  }
+  EXPECT_EQ(g->num_edges(), degree_sum / 2);
 }
 
 TEST(GraphTest, RejectsSelfLoops) {

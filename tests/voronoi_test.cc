@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace emp {
 namespace {
@@ -15,6 +19,34 @@ Box Frame(double w, double h) {
   b.Extend(Point{0, 0});
   b.Extend(Point{w, h});
   return b;
+}
+
+/// `cols` x `rows` grid sites of pitch 1, each jittered by up to 0.45 in x
+/// and y, inside Frame(cols, rows).
+std::vector<Point> JitteredGrid(int cols, int rows, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> sites;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      sites.push_back({c + 0.5 + rng.Uniform(-0.45, 0.45),
+                       r + 0.5 + rng.Uniform(-0.45, 0.45)});
+    }
+  }
+  return sites;
+}
+
+/// FNV-1a over every neighbor list, in site order.
+uint64_t NeighborDigest(const std::vector<std::vector<int32_t>>& neighbors) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (const std::vector<int32_t>& list : neighbors) {
+    mix(list.size());
+    for (int32_t j : list) mix(static_cast<uint64_t>(j));
+  }
+  return h;
 }
 
 TEST(VoronoiTest, SingleSiteOwnsWholeFrame) {
@@ -167,6 +199,81 @@ TEST(VoronoiTest, NeighborListsSorted) {
   for (const auto& nb : d->neighbors) {
     EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
   }
+}
+
+// The cell build runs in blocks on the worker pool. Its output and its
+// counters must equal what the serial site-by-site walk produced; the pinned
+// values were recorded from that walk.
+TEST(VoronoiTest, BlockedBuildMatchesTheSerialWalk) {
+  const std::vector<Point> sites = JitteredGrid(110, 110, 5);
+  ASSERT_GT(sites.size(), 2u * kVoronoiBlockSites);  // Three blocks.
+  obs::MetricRegistry metrics;
+  VoronoiOptions options;
+  options.metrics = &metrics;
+  auto d = ComputeVoronoi(sites, Frame(110, 110), options);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  size_t entries = 0;
+  for (const auto& nb : d->neighbors) entries += nb.size();
+  EXPECT_EQ(entries, 71746u);
+  EXPECT_EQ(NeighborDigest(d->neighbors), 0x36fb99260882c841ULL);
+  EXPECT_EQ(d->neighbors[kVoronoiBlockSites],
+            (std::vector<int32_t>{3986, 4094, 4095, 4097, 4205, 4206}));
+  ASSERT_EQ(d->centroids.size(), sites.size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    const Point c = d->cells[i].Centroid();
+    ASSERT_TRUE(d->centroids[i].x == c.x && d->centroids[i].y == c.y) << i;
+  }
+  EXPECT_EQ(metrics.GetCounter("emp_voronoi_cells_total")->value(), 12100);
+  EXPECT_EQ(metrics.GetCounter("emp_voronoi_knn_doublings_total")->value(),
+            11);
+  EXPECT_EQ(
+      metrics.GetCounter("emp_voronoi_uncertified_cells_total")->value(), 0);
+}
+
+// Starting from 2 neighbors and stopping at 8 makes every counter move.
+TEST(VoronoiTest, BlockedBuildCountsDoublingsLikeTheSerialWalk) {
+  const std::vector<Point> sites = JitteredGrid(110, 110, 5);
+  obs::MetricRegistry metrics;
+  VoronoiOptions options;
+  options.initial_knn = 2;
+  options.max_knn = 8;
+  options.metrics = &metrics;
+  auto d = ComputeVoronoi(sites, Frame(110, 110), options);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(NeighborDigest(d->neighbors), 0xba50340cb4f07860ULL);
+  EXPECT_EQ(metrics.GetCounter("emp_voronoi_cells_total")->value(), 12100);
+  EXPECT_EQ(metrics.GetCounter("emp_voronoi_knn_doublings_total")->value(),
+            24179);
+  EXPECT_EQ(
+      metrics.GetCounter("emp_voronoi_uncertified_cells_total")->value(),
+      7888);
+}
+
+TEST(VoronoiTest, CoincidentSitesInDifferentBlocksNameTheLowerSite) {
+  // Far from the origin the bisector of two sites 1e-9 apart has no
+  // precision left, and the cells of sites 1000 (block 0) and 9000
+  // (block 2) each come out empty when built alone.
+  const double x0 = 1e6;
+  std::vector<Point> sites = JitteredGrid(110, 110, 5);
+  for (Point& p : sites) p.x += x0;
+  for (const auto& [site, copy] :
+       {std::pair<int32_t, int32_t>{1000, 2 * kVoronoiBlockSites + 500},
+        std::pair<int32_t, int32_t>{9000, 9001}}) {
+    sites[copy] = {sites[site].x + 1e-9, sites[site].y + 1e-9};
+  }
+  Box frame;
+  frame.Extend(Point{x0, 0});
+  frame.Extend(Point{x0 + 110, 110});
+  obs::MetricRegistry metrics;
+  VoronoiOptions options;
+  options.metrics = &metrics;
+  auto d = ComputeVoronoi(sites, frame, options);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(d.status().message().find("site 1000 "), std::string::npos)
+      << d.status().message();
+  // Counted up to the failing site, as the walk in site order stops there.
+  EXPECT_EQ(metrics.GetCounter("emp_voronoi_cells_total")->value(), 1001);
 }
 
 }  // namespace
