@@ -106,7 +106,7 @@ Result<AreaSet> LoadAreaSetFromCsvText(const std::string& csv_text,
                        DeriveContiguity(polygons, options));
 
   std::string diss = options.dissimilarity_attribute;
-  if (diss.empty()) diss = attributes.column_names().front();
+  if (diss.empty()) diss = attributes.column_names().back();
   return AreaSet::Create(options.name, std::move(polygons), std::move(graph),
                          std::move(attributes), diss);
 }

@@ -14,8 +14,10 @@ struct LoaderOptions {
   /// Name of the CSV column holding each area's polygon as WKT
   /// ("POLYGON ((x y, ...))").
   std::string geometry_column = "WKT";
-  /// Attribute used as the dissimilarity attribute d_i. Empty = the first
-  /// non-geometry column.
+  /// Attribute used as the dissimilarity attribute d_i. Empty = the last
+  /// non-geometry column: the synthesizer's own default, and where
+  /// `AreaSetToCsvText` puts HOUSEHOLDS for catalog maps, so a map read
+  /// back from `emp_cli synth` CSV scores like its packed image.
   std::string dissimilarity_attribute;
   /// Two areas are contiguous (rook adjacency) when their shared border is
   /// at least this long, in the CSV's coordinate units. Values <= 0 fall

@@ -210,11 +210,8 @@ emp::Result<emp::AreaSet> LoadInput(const Args& args) {
     return emp::Status::InvalidArgument("--input is required");
   }
   emp::LoaderOptions options;
-  if (args.Has("dissimilarity")) {
-    options.dissimilarity_attribute = args.Get("dissimilarity");
-  } else {
-    options.dissimilarity_attribute = "";  // first column
-  }
+  // Without --dissimilarity a CSV scores its last attribute column.
+  options.dissimilarity_attribute = args.Get("dissimilarity");
   // Dispatches on content: compact .emp images mmap in, CSV parses.
   return emp::LoadAreaSetAuto(path, options);
 }
