@@ -6,14 +6,51 @@
 // in U0 on multi-constraint queries; FaCT's enclave machinery covers
 // nearly everything (§V-B objective (c)).
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/stopwatch.h"
+#include "core/construction/unified_growth.h"
+#include "core/feasibility.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 
+namespace {
+
+using namespace emp;
+
+/// Unified growth on FaCT's seeding, one attempt on the RNG stream FaCT's
+/// first construction iteration uses; timed like FaCT's construction
+/// (seeding plus growth).
+bench::RunResult RunUnified(const AreaSet& areas,
+                            const std::vector<Constraint>& query,
+                            uint64_t seed) {
+  bench::RunResult out;
+  out.infeasible = true;
+  auto bound = BoundConstraints::Create(&areas, query);
+  if (!bound.ok()) return out;
+  auto feasibility = CheckFeasibility(*bound);
+  if (!feasibility.ok() || !feasibility->feasible) return out;
+  Stopwatch timer;
+  const SeedingResult seeding = SelectSeeds(*bound, *feasibility);
+  Partition partition(&*bound);
+  for (int32_t a : feasibility->invalid_areas) partition.Deactivate(a);
+  Rng rng(seed);
+  if (!GrowUnified(seeding, {}, &rng, &partition).ok()) return out;
+  out.infeasible = false;
+  out.construction_seconds = timer.ElapsedSeconds();
+  Solution solution;
+  FillAssignmentFromPartition(partition, &solution);
+  out.p = solution.p();
+  out.unassigned = solution.num_unassigned();
+  return out;
+}
+
+}  // namespace
+
 int main() {
-  using namespace emp;
   using namespace emp::bench;
   Banner("Ablation", "FaCT 3-step vs unified single-step construction (2k)");
 
@@ -24,13 +61,11 @@ int main() {
                           "construction(s)"});
   for (const std::string& combo : {"S", "M", "MA", "MAS"}) {
     const std::vector<Constraint> query = BuildCombo(combo, ComboRanges{});
+    SolverOptions options = DefaultBenchOptions();
+    options.run_local_search = false;
     for (int unified = 0; unified <= 1; ++unified) {
-      SolverOptions options = DefaultBenchOptions();
-      options.run_local_search = false;
-      options.construction_strategy =
-          unified ? ConstructionStrategy::kUnifiedGrowth
-                  : ConstructionStrategy::kFact;
-      RunResult r = RunFact(areas, query, options);
+      RunResult r = unified ? RunUnified(areas, query, options.seed)
+                            : RunFact(areas, query, options);
       table.AddRow({combo, unified ? "unified" : "fact",
                     std::to_string(r.p), std::to_string(r.unassigned),
                     Secs(r.construction_seconds)});

@@ -30,8 +30,8 @@ struct UnifiedGrowthStats {
 /// This is the "obvious" alternative to FaCT's three-step construction
 /// and exists as an ablation baseline (bench/ablation_strategy): it
 /// handles all enriched constraint types but, lacking FaCT's
-/// family-by-family decomposition, wastes seeds and overshoots —
-/// select it via SolverOptions::construction_strategy.
+/// family-by-family decomposition, wastes seeds and overshoots. No
+/// solver option selects it; the bench and its tests call it directly.
 ///
 /// `supervisor` (optional) is polled per absorb and per leftover sweep
 /// step; a trip abandons the in-flight (still violating) region and

@@ -13,7 +13,6 @@
 #include "common/str_util.h"
 #include "common/ticket_pool.h"
 #include "core/construction/seeding.h"
-#include "core/construction/unified_growth.h"
 #include "core/local_search/heterogeneity.h"
 #include "core/partition.h"
 #include "core/portfolio.h"
@@ -184,35 +183,25 @@ Result<FactSolver::Constructed> FactSolver::Construct(
     // Per-attempt arena: attempts may run concurrently on the worker
     // pool, so the scratch is never shared across threads.
     GrowthScratch scratch;
-    if (options_.construction_strategy ==
-        ConstructionStrategy::kUnifiedGrowth) {
-      // Ablation baseline: single-step growth already leaves every
-      // committed region fully feasible; no adjustment pass needed.
+    Stopwatch grow_timer;
+    {
       obs::ScopedSpan grow_span(ctx.trace, "construction.grow",
                                 /*worker=*/iter);
-      out.status = GrowUnified(seeding, options_, &rng, &partition,
-                               /*stats=*/nullptr, &supervisor, &scratch);
-    } else {
-      Stopwatch grow_timer;
-      {
-        obs::ScopedSpan grow_span(ctx.trace, "construction.grow",
+      out.status = GrowRegions(seeding, options_, &rng, &partition,
+                               &out.growing, &supervisor, &scratch);
+    }
+    obs::Observe(grow_seconds, grow_timer.ElapsedSeconds());
+    if (out.status.ok()) {
+      // ConnectivityChecker is not thread-safe; each iteration gets its
+      // own when running in parallel. Runs even when the supervisor has
+      // tripped: its dissolve pass finalizes the partial partition.
+      Stopwatch adjust_timer;
+      obs::ScopedSpan adjust_span(ctx.trace, "construction.adjust",
                                   /*worker=*/iter);
-        out.status = GrowRegions(seeding, options_, &rng, &partition,
-                                 &out.growing, &supervisor, &scratch);
-      }
-      obs::Observe(grow_seconds, grow_timer.ElapsedSeconds());
-      if (out.status.ok()) {
-        // ConnectivityChecker is not thread-safe; each iteration gets its
-        // own when running in parallel. Runs even when the supervisor has
-        // tripped: its dissolve pass finalizes the partial partition.
-        Stopwatch adjust_timer;
-        obs::ScopedSpan adjust_span(ctx.trace, "construction.adjust",
-                                    /*worker=*/iter);
-        ConnectivityChecker local_connectivity(&areas_->graph());
-        out.status = AdjustForCounting(&local_connectivity, &partition,
-                                       &out.adjust, &supervisor, &scratch);
-        obs::Observe(adjust_seconds, adjust_timer.ElapsedSeconds());
-      }
+      ConnectivityChecker local_connectivity(&areas_->graph());
+      out.status = AdjustForCounting(&local_connectivity, &partition,
+                                     &out.adjust, &supervisor, &scratch);
+      obs::Observe(adjust_seconds, adjust_timer.ElapsedSeconds());
     }
     out.interrupted = supervisor.tripped();
     if (out.status.ok()) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -34,27 +32,6 @@ uint64_t ReplicaSeed(uint64_t base_seed, int32_t replica) {
   constexpr uint64_t kReplicaSeedStride = 0xA24BAED4963EE407ULL;
   return base_seed + kReplicaSeedStride * static_cast<uint64_t>(replica);
 }
-
-namespace {
-
-/// Lock-guarded best-constructed-p shared by all replicas. Consulted for
-/// the local-search cutoff: a replica strictly below the incumbent p can
-/// never win the reduction (which orders by p first), so skipping its
-/// tabu phase changes how much work runs, never which solution returns.
-struct Incumbent {
-  std::mutex mu;
-  int32_t best_p = -1;
-  int32_t best_replica = std::numeric_limits<int32_t>::max();
-};
-
-struct ReplicaOutcome {
-  bool started = false;
-  bool tabu_skipped = false;
-  Status status = Status::OK();
-  std::optional<Solution> solution;
-};
-
-}  // namespace
 
 PortfolioSolver::PortfolioSolver(const AreaSet* areas,
                                  std::vector<Constraint> constraints,
@@ -99,36 +76,45 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   RunEvents events(ctx);
   events.PortfolioBegin(replicas, threads);
 
-  Incumbent incumbent;
-  std::atomic<bool> stop_new_replicas{false};
-  std::atomic<int32_t> replicas_improved{0};
+  // Outcomes land in pre-sized slots, so the only synchronization is the
+  // ticket counters, the running maximum p and the joins. `run` holds a
+  // replica's constructed partition only while it may still be polished;
+  // `solution` holds the final result.
+  struct ReplicaOutcome {
+    bool started = false;
+    bool polishable = false;
+    bool tabu_skipped = false;
+    int32_t p = -1;
+    Status status = Status::OK();
+    std::optional<FactSolver::Constructed> run;
+    std::optional<Solution> solution;
+  };
+  std::vector<ReplicaOutcome> outcomes(static_cast<size_t>(replicas));
   std::vector<CancellationToken> replica_tokens(
       static_cast<size_t>(replicas));
-  std::vector<ReplicaOutcome> outcomes(static_cast<size_t>(replicas));
+  std::atomic<bool> target_hit{false};
+  std::atomic<int32_t> running_max_p{-1};
 
-  auto run_replica = [&](int32_t replica) {
-    ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
-    out.started = true;
-    obs::ScopedSpan replica_span(ctx.trace, "portfolio.replica",
-                                 /*worker=*/replica);
-    events.Replica(replica, obs::ReplicaState::kConstructing);
-
-    // Replicas are single-threaded internally (the solve's parallelism
-    // budget is portfolio_threads) and never re-enter the portfolio.
+  // Replicas are single-threaded internally (the solve's parallelism
+  // budget is portfolio_threads) and never re-enter the portfolio.
+  auto replica_solver = [&](int32_t replica) {
     SolverOptions replica_options = options_;
     replica_options.seed = ReplicaSeed(options_.seed, replica);
     replica_options.portfolio_replicas = 1;
     replica_options.construction_threads = 1;
+    return FactSolver(areas_, constraints_, replica_options);
+  };
 
-    // Child supervision context: shares the caller's deadline, evaluation
-    // budget (same counter), metrics and trace, but owns its cancellation
-    // token so this replica can be cancelled individually. The caller's
-    // token (and fault hook) stay visible through the hook, which
-    // PhaseSupervisor polls at every checkpoint. The child carries no
-    // board, journal or curve: whole-run facts (phase, incumbents, the
-    // run bracket) belong to the portfolio's caller, and N replicas
-    // emitting them concurrently would interleave nondeterministically.
-    // Replicas surface through the Replica / ReplicaSummary events.
+  // Child supervision context: shares the caller's deadline, evaluation
+  // budget (same counter), metrics and trace, but owns its cancellation
+  // token so this replica can be cancelled individually. The caller's
+  // token (and fault hook) stay visible through the hook, which
+  // PhaseSupervisor polls at every checkpoint. The child carries no
+  // board, journal or curve: whole-run facts (phase, incumbents, the run
+  // bracket) belong to the portfolio's caller, and N replicas emitting
+  // them concurrently would interleave nondeterministically. Replicas
+  // surface through the Replica / ReplicaSummary events.
+  auto child_context = [&](int32_t replica) {
     RunContext child;
     child.deadline = ctx.deadline;
     child.cancel = replica_tokens[static_cast<size_t>(replica)];
@@ -145,82 +131,24 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
       if (parent_hook) return parent_hook(checkpoint);
       return std::nullopt;
     };
-
-    // The same two steps as a plain solve; local search runs below, after
-    // the incumbent consult.
-    const FactSolver solver(areas_, constraints_, replica_options);
-    Result<FactSolver::Constructed> constructed = [&] {
-      obs::ScopedSpan solve_span(child.trace, "solve");
-      return solver.Construct(bound, child);
-    }();
-    if (!constructed.ok()) {
-      out.status = constructed.status();
-      return;
-    }
-    FactSolver::Constructed& run = *constructed;
-    const int32_t p = run.partition.NumRegions();
-
-    // Publish the constructed p, then consult: p never changes in local
-    // search, so the incumbent is final as far as the reduction's primary
-    // key is concerned.
-    int32_t incumbent_p;
-    {
-      std::lock_guard<std::mutex> lock(incumbent.mu);
-      if (p > incumbent.best_p ||
-          (p == incumbent.best_p && replica < incumbent.best_replica)) {
-        if (p > incumbent.best_p) {
-          replicas_improved.fetch_add(1, std::memory_order_relaxed);
-        }
-        incumbent.best_p = p;
-        incumbent.best_replica = replica;
-      }
-      incumbent_p = incumbent.best_p;
-      // Under the incumbent lock so concurrent replicas publish best p in
-      // incumbent order: the board never ends on a stale lower value and
-      // the curve's best_p stays monotone.
-      if (incumbent_p == p) events.IncumbentP(p);
-      events.Replica(replica, obs::ReplicaState::kConstructing, p);
-    }
-    if (options_.portfolio_target_p >= 0 &&
-        incumbent_p >= options_.portfolio_target_p &&
-        !stop_new_replicas.exchange(true, std::memory_order_relaxed)) {
-      // Target reached: stop handing out replicas and cancel in-flight
-      // stragglers at their next checkpoint. This replica skips its own
-      // local search too — the target is a "good enough, return now" bar.
-      for (int32_t other = 0; other < replicas; ++other) {
-        if (other != replica) {
-          replica_tokens[static_cast<size_t>(other)].Cancel();
-        }
-      }
-    }
-
-    // Degraded constructions and replicas past a target hit compete with
-    // their constructed partition as-is.
-    bool polish = options_.run_local_search && p > 0 &&
-                  run.solution.termination_reason ==
-                      TerminationReason::kConverged &&
-                  !stop_new_replicas.load(std::memory_order_relaxed);
-    if (polish && options_.portfolio_share_incumbent && p < incumbent_p) {
-      // Provably losing on p; heterogeneity polish cannot change that.
-      out.tabu_skipped = true;
-      polish = false;
-    }
-    if (polish) {
-      events.Replica(replica, obs::ReplicaState::kLocalSearch);
-      out.status = solver.LocalSearch(child, /*worker=*/replica, &run);
-      if (!out.status.ok()) return;
-    }
-    FillAssignmentFromPartition(run.partition, &run.solution);
-    out.solution = std::move(run.solution);
+    return child;
   };
 
-  // Outcomes land in pre-sized slots, so the only synchronization is the
-  // ticket counter, the incumbent lock, and the joins.
+  // Moves a replica's assignment into its Solution and drops its
+  // partition.
+  auto release = [&](ReplicaOutcome& out) {
+    if (!out.run.has_value()) return;
+    FillAssignmentFromPartition(out.run->partition, &out.run->solution);
+    out.solution = std::move(out.run->solution);
+    out.run.reset();
+  };
+  // Publishes a replica's final state. Every replica finishes after the
+  // join, so the best p is on the board and the curve before the first
+  // portfolio checkpoint.
   std::atomic<int32_t> replicas_finished{0};
   auto finish_replica = [&](int32_t replica) {
-    const int32_t finished =
-        replicas_finished.fetch_add(1, std::memory_order_relaxed) + 1;
-    const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    release(out);
     obs::ReplicaState state = obs::ReplicaState::kDone;
     if (out.tabu_skipped) {
       state = obs::ReplicaState::kSkipped;
@@ -229,18 +157,90 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
                    TerminationReason::kCancelled) {
       state = obs::ReplicaState::kCancelled;
     }
-    events.Replica(replica, state,
-                   out.solution.has_value() ? out.solution->p() : -1);
+    events.Replica(replica, state, out.p);
     // A finished replica doubles as the portfolio's checkpoint (replica
     // children run without sinks).
+    const int32_t finished =
+        replicas_finished.fetch_add(1, std::memory_order_relaxed) + 1;
     events.Checkpoint("portfolio", finished);
     events.Work(finished, replicas);
   };
-  auto run_and_finish = [&](int32_t replica) {
-    run_replica(replica);
-    finish_replica(replica);
+
+  // Pass 1: construct every replica. p never changes in local search, so
+  // a replica below the running maximum can never win the reduction
+  // (which orders by p first) and drops its partition at once.
+  auto construct_replica = [&](int32_t replica) {
+    ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    out.started = true;
+    obs::ScopedSpan replica_span(ctx.trace, "portfolio.replica",
+                                 /*worker=*/replica);
+    events.Replica(replica, obs::ReplicaState::kConstructing);
+    const RunContext child = child_context(replica);
+    Result<FactSolver::Constructed> constructed = [&] {
+      obs::ScopedSpan solve_span(child.trace, "solve");
+      return replica_solver(replica).Construct(bound, child);
+    }();
+    if (!constructed.ok()) {
+      out.status = constructed.status();
+      return;
+    }
+    out.p = constructed->partition.NumRegions();
+    // Degraded constructions compete with their partition as-is.
+    out.polishable = options_.run_local_search && out.p > 0 &&
+                     constructed->solution.termination_reason ==
+                         TerminationReason::kConverged;
+    out.run = std::move(*constructed);
+    events.Replica(replica, obs::ReplicaState::kConstructing, out.p);
+
+    int32_t seen_p = running_max_p.load(std::memory_order_relaxed);
+    while (out.p > seen_p && !running_max_p.compare_exchange_weak(
+                                 seen_p, out.p, std::memory_order_relaxed)) {
+    }
+    if (options_.portfolio_target_p >= 0 &&
+        out.p >= options_.portfolio_target_p &&
+        !target_hit.exchange(true, std::memory_order_relaxed)) {
+      // Target reached: stop handing out replicas, cancel in-flight
+      // stragglers at their next checkpoint and skip pass 2 — the target
+      // is a "good enough, return now" bar.
+      for (int32_t other = 0; other < replicas; ++other) {
+        if (other != replica) {
+          replica_tokens[static_cast<size_t>(other)].Cancel();
+        }
+      }
+    }
+    if (out.p < seen_p) release(out);
   };
-  RunTicketPool(replicas, threads, run_and_finish, &stop_new_replicas);
+  RunTicketPool(replicas, threads, construct_replica, &target_hit);
+
+  // The join: the maximum p is final, so it is published once, and every
+  // replica outside the max-p set finishes unpolished, in replica order.
+  const int32_t max_p = running_max_p.load(std::memory_order_relaxed);
+  if (max_p >= 0) events.IncumbentP(max_p);
+  std::vector<int32_t> polish;
+  for (int32_t replica = 0; replica < replicas; ++replica) {
+    ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    if (!out.started) continue;
+    out.tabu_skipped = out.polishable && out.p < max_p;
+    if (out.polishable && out.p == max_p &&
+        !target_hit.load(std::memory_order_relaxed)) {
+      polish.push_back(replica);
+    } else {
+      finish_replica(replica);
+    }
+  }
+
+  // Pass 2: polish exactly the replicas that share the maximum p.
+  const int polish_count = static_cast<int>(polish.size());
+  RunTicketPool(polish_count, std::min(threads, polish_count), [&](int i) {
+    const int32_t replica = polish[static_cast<size_t>(i)];
+    ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    obs::ScopedSpan replica_span(ctx.trace, "portfolio.replica",
+                                 /*worker=*/replica);
+    events.Replica(replica, obs::ReplicaState::kLocalSearch);
+    out.status = replica_solver(replica).LocalSearch(
+        child_context(replica), /*worker=*/replica, &*out.run);
+    finish_replica(replica);
+  });
 
   // Deterministic reduction. Errors first, by replica index, so a failing
   // portfolio reports the same error at any thread count.
@@ -268,10 +268,17 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
   stats_.winning_replica = winner;
   stats_.threads = threads;
   stats_.replica_p.assign(static_cast<size_t>(replicas), -1);
-  // Post-join, in replica order, so the records are the same at any
-  // thread count.
+  // Post-join, in replica order, so the records and counts are the same
+  // at any thread count. A replica "improves" when its p exceeds every
+  // lower-indexed replica's.
+  int32_t replicas_improved = 0;
+  int32_t improved_p = -1;
   for (int32_t replica = 0; replica < replicas; ++replica) {
     const ReplicaOutcome& out = outcomes[static_cast<size_t>(replica)];
+    if (out.p > improved_p) {
+      ++replicas_improved;
+      improved_p = out.p;
+    }
     events.ReplicaSummary(replica, out.started, out.tabu_skipped,
                           out.solution.has_value() ? &*out.solution : nullptr);
     if (!out.started) continue;
@@ -292,7 +299,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     metrics->GetCounter("emp_portfolio_replicas_cancelled_total")
         ->Add(stats_.replicas_cancelled);
     metrics->GetCounter("emp_portfolio_replicas_improved_total")
-        ->Add(replicas_improved.load(std::memory_order_relaxed));
+        ->Add(replicas_improved);
     metrics->GetCounter("emp_portfolio_tabu_skipped_total")
         ->Add(stats_.tabu_skipped);
     obs::Histogram* replica_p = metrics->GetHistogram(

@@ -34,10 +34,9 @@ bool BeatsInReduction(const ReplicaScore& a, const ReplicaScore& b);
 uint64_t ReplicaSeed(uint64_t base_seed, int32_t replica);
 
 /// Counters from the last PortfolioSolver::Solve(), for reports and
-/// tests. All fields are computed after the worker pool joins; only
-/// `winning_replica` and `replica_p` are thread-count invariant (the
-/// others describe scheduling, e.g. how many replicas the incumbent
-/// cutoff spared from local search).
+/// tests, computed after the worker pool joins. Without supervision
+/// (deadline, budget, target_p, cancellation) every field but `threads`
+/// is thread-count invariant.
 struct PortfolioStats {
   /// Replicas requested (SolverOptions::portfolio_replicas).
   int32_t replicas = 0;
@@ -47,8 +46,8 @@ struct PortfolioStats {
   /// Replicas cut short by cooperative cancellation (target_p reached
   /// or the caller's token), counted by their termination verdict.
   int32_t replicas_cancelled = 0;
-  /// Replicas whose local-search phase was skipped because the shared
-  /// incumbent already dominated their constructed p.
+  /// Replicas whose local-search phase was skipped because their
+  /// constructed p is below the largest any replica constructed.
   int32_t tabu_skipped = 0;
   /// Index of the replica whose solution was returned; -1 if none ran.
   int32_t winning_replica = -1;
@@ -59,16 +58,16 @@ struct PortfolioStats {
 };
 
 /// Multi-start solver portfolio (DESIGN.md §10): runs
-/// `options.portfolio_replicas` independent FaCT replicas — each a full
-/// feasibility → construction → tabu chain on a derived RNG stream —
-/// across a ticket-counter worker pool of `options.portfolio_threads`
-/// threads, then reduces the results deterministically (see
-/// ReplicaScore). Replicas share the caller's deadline and evaluation
-/// budget through per-replica child RunContexts; each also has its own
-/// cancellation token so stragglers can be cancelled cooperatively once
-/// `options.portfolio_target_p` is reached, and a lock-guarded incumbent
-/// lets replicas skip provably-losing local-search work when
-/// `options.portfolio_share_incumbent` is on.
+/// `options.portfolio_replicas` independent FaCT replicas, each on a
+/// derived RNG stream, in two passes over a ticket-counter worker pool
+/// of `options.portfolio_threads` threads. Pass 1 runs feasibility and
+/// construction for every replica; pass 2 runs tabu on exactly the
+/// replicas whose constructed p is the largest, since tabu keeps p fixed
+/// and the reduction (see ReplicaScore) orders by p first. Replicas
+/// share the caller's deadline and evaluation budget through
+/// per-replica child RunContexts; each also has its own cancellation
+/// token so stragglers can be cancelled cooperatively once
+/// `options.portfolio_target_p` is reached.
 ///
 /// Determinism: without a deadline / evaluation budget / target_p /
 /// external cancellation, the returned solution is bit-identical for a

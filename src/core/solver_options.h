@@ -17,22 +17,10 @@ enum class PickupOrder {
   kDescending,
 };
 
-/// Construction strategy for Phase 2.
-enum class ConstructionStrategy {
-  /// The paper's three-step construction (filter/seed → region growing →
-  /// monotonic adjustments). Default.
-  kFact,
-  /// Single-step greedy violation-descent growth — an ablation baseline
-  /// (see core/construction/unified_growth.h).
-  kUnifiedGrowth,
-};
-
 /// Tuning knobs for the FaCT algorithm. Defaults mirror the paper's
 /// experimental setup (§VII-A): random pickup, AVG merge limit 3, tabu
 /// tenure 10, max moves without improvement = dataset size.
 struct SolverOptions {
-  ConstructionStrategy construction_strategy = ConstructionStrategy::kFact;
-
   /// Construction runs this many independent iterations and keeps the
   /// partition with the highest p (§V-B). Must be >= 1.
   int construction_iterations = 3;
@@ -87,16 +75,9 @@ struct SolverOptions {
   /// replica.
   int portfolio_threads = 1;
 
-  /// Let replicas consult the shared incumbent after construction and
-  /// skip their local-search phase when their p is strictly below the
-  /// incumbent's (they can no longer win the reduction, which orders by
-  /// p first). Winner-preserving, so the returned solution is unchanged;
-  /// only wasted tabu work is cut. On by default.
-  bool portfolio_share_incumbent = true;
-
   /// Early-exit target: once any replica's construction reaches this p,
-  /// the portfolio cooperatively cancels the remaining replicas and
-  /// returns the best result found. -1 disables. Like time budgets, a
+  /// the portfolio cooperatively cancels the remaining replicas, skips
+  /// local search and returns the best constructed result. -1 disables. Like time budgets, a
   /// target makes the outcome timing-dependent (the thread-count
   /// invariance guarantee applies to untargeted, unbudgeted solves).
   int32_t portfolio_target_p = -1;

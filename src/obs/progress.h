@@ -19,7 +19,7 @@ enum class ReplicaState : int32_t {
   kLocalSearch,      // tabu polish running
   kDone,             // finished (converged or degraded)
   kCancelled,        // cooperatively cancelled (target_p / caller)
-  kSkipped,          // local search skipped by the incumbent cutoff
+  kSkipped,          // local search skipped: p below the portfolio's max
 };
 
 /// Canonical lower-case name ("pending", "constructing", ...).

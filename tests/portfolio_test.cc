@@ -5,6 +5,7 @@
 // a bit-identical solution at 1, 2, and 8 threads. Timing fields differ
 // between runs, so the JSON comparison strips *_seconds lines.
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/report.h"
 #include "core/validate.h"
 #include "data/synthetic/dataset_catalog.h"
+#include "obs/journal.h"
 #include "obs/metrics.h"
 
 namespace emp {
@@ -169,8 +171,8 @@ TEST(PortfolioTest, OneReplicaPortfolioIsThePlainSolve) {
 }
 
 TEST(PortfolioTest, WinnerIsThePlainSolveOfItsReplicaSeed) {
-  // Without the incumbent cutoff every replica runs its full chain, so the
-  // portfolio returns the best plain solve over the derived replica seeds.
+  // Every replica that can still win runs its full chain, so the portfolio
+  // returns the best plain solve over the derived replica seeds.
   constexpr int32_t kReplicas = 4;
   for (int32_t n : {300, 1000}) {
     auto areas = synthetic::MakeDefaultDataset("pf-winner", n, /*seed=*/3);
@@ -197,7 +199,6 @@ TEST(PortfolioTest, WinnerIsThePlainSolveOfItsReplicaSeed) {
 
     options.portfolio_replicas = kReplicas;
     options.portfolio_threads = 2;
-    options.portfolio_share_incumbent = false;
     auto portfolio = PortfolioSolver::Create(&*areas, cs, options);
     ASSERT_TRUE(portfolio.ok()) << portfolio.status().ToString();
     auto sol = portfolio->Solve();
@@ -215,33 +216,49 @@ TEST(PortfolioTest, WinnerIsThePlainSolveOfItsReplicaSeed) {
   }
 }
 
-TEST(PortfolioTest, ShareIncumbentNeverChangesTheWinner) {
-  // The incumbent cutoff may skip local search for provably-losing
-  // replicas; the returned solution must be unchanged either way.
-  auto areas = synthetic::MakeDefaultDataset("pf-share", 250, /*seed=*/11);
+TEST(PortfolioTest, SkippedSetIsTheReplicasBelowTheMaximumP) {
+  // Seed 6 constructs p = 43, 44, 44, 45. Replica 0 has the lowest p, so
+  // a cutoff that consulted only the replicas finished so far would
+  // polish it whenever it finished first.
+  auto areas = synthetic::MakeDefaultDataset("pf-skip", 300, /*seed=*/5);
   ASSERT_TRUE(areas.ok()) << areas.status().ToString();
   std::vector<Constraint> cs = SumConstraint();
-  SolverOptions options;
-  options.seed = 77;
-  options.portfolio_replicas = 5;
-  options.portfolio_threads = 1;
+  constexpr int32_t kReplicas = 4;
+  for (int threads : {1, 2, 4}) {
+    SolverOptions options;
+    options.seed = 6;
+    options.tabu_max_iterations = 2000;
+    options.portfolio_replicas = kReplicas;
+    options.portfolio_threads = threads;
+    auto solver = PortfolioSolver::Create(&*areas, cs, options);
+    ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+    obs::RunJournal journal;
+    RunContext ctx = MakeRunContext(options);
+    ctx.journal = &journal;
+    auto sol = solver->Solve(ctx);
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
 
-  options.portfolio_share_incumbent = true;
-  auto with_share = PortfolioSolver::Create(&*areas, cs, options);
-  ASSERT_TRUE(with_share.ok());
-  auto a = with_share->Solve();
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-
-  options.portfolio_share_incumbent = false;
-  auto without_share = PortfolioSolver::Create(&*areas, cs, options);
-  ASSERT_TRUE(without_share.ok());
-  auto b = without_share->Solve();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-
-  EXPECT_EQ(a->p(), b->p());
-  EXPECT_EQ(a->region_of, b->region_of);
-  EXPECT_DOUBLE_EQ(a->heterogeneity, b->heterogeneity);
-  EXPECT_EQ(without_share->stats().tabu_skipped, 0);
+    const std::vector<int32_t>& replica_p = solver->stats().replica_p;
+    const int32_t max_p = *std::max_element(replica_p.begin(), replica_p.end());
+    ASSERT_LT(replica_p[0], max_p) << "the instance no longer exercises the "
+                                      "lowest-p-first case";
+    std::vector<bool> expected;
+    int32_t expected_count = 0;
+    for (int32_t p : replica_p) {
+      expected.push_back(p < max_p);
+      expected_count += p < max_p ? 1 : 0;
+    }
+    std::vector<bool> skipped;
+    std::istringstream records(journal.ToJsonl());
+    for (std::string line; std::getline(records, line);) {
+      if (line.find("\"type\": \"replica\"") == std::string::npos) continue;
+      skipped.push_back(line.find("\"tabu_skipped\": true") !=
+                        std::string::npos);
+    }
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(skipped, expected) << where;
+    EXPECT_EQ(solver->stats().tabu_skipped, expected_count) << where;
+  }
 }
 
 TEST(PortfolioTest, TargetPStopsTheQueueAfterTheFirstHit) {
@@ -311,33 +328,50 @@ TEST(PortfolioTest, MetricsCoverThePortfolioPhase) {
   auto areas = synthetic::MakeDefaultDataset("pf-metrics", 200, /*seed=*/13);
   ASSERT_TRUE(areas.ok()) << areas.status().ToString();
   std::vector<Constraint> cs = SumConstraint();
-  SolverOptions options;
-  options.portfolio_replicas = 3;
-  options.portfolio_threads = 2;
+  std::vector<int64_t> improved;
+  for (int threads : {1, 2}) {
+    SolverOptions options;
+    options.portfolio_replicas = 3;
+    options.portfolio_threads = threads;
 
-  obs::MetricRegistry registry;
-  auto solver = PortfolioSolver::Create(&*areas, cs, options);
-  ASSERT_TRUE(solver.ok());
-  RunContext ctx = MakeRunContext(options);
-  ctx.metrics = &registry;
-  auto sol = solver->Solve(ctx);
-  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+    obs::MetricRegistry registry;
+    auto solver = PortfolioSolver::Create(&*areas, cs, options);
+    ASSERT_TRUE(solver.ok());
+    RunContext ctx = MakeRunContext(options);
+    ctx.metrics = &registry;
+    auto sol = solver->Solve(ctx);
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
 
-  EXPECT_EQ(
-      registry.GetCounter("emp_portfolio_replicas_started_total")->value(), 3);
-  EXPECT_EQ(
-      registry.GetCounter("emp_portfolio_replicas_cancelled_total")->value(),
-      0);
-  EXPECT_GE(
-      registry.GetCounter("emp_portfolio_replicas_improved_total")->value(),
-      1);
-  EXPECT_EQ(registry.GetHistogram("emp_portfolio_replica_p")->count(), 3);
-  EXPECT_EQ(registry.GetGauge("emp_portfolio_threads")->value(), 2.0);
-  EXPECT_EQ(registry.GetGauge("emp_portfolio_best_p")->value(),
-            static_cast<double>(sol->p()));
-  // Replica solves feed the shared registry too.
-  EXPECT_EQ(registry.GetCounter("emp_construction_iterations_total")->value(),
-            3 * options.construction_iterations);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(
+        registry.GetCounter("emp_portfolio_replicas_started_total")->value(),
+        3)
+        << where;
+    EXPECT_EQ(
+        registry.GetCounter("emp_portfolio_replicas_cancelled_total")
+            ->value(),
+        0)
+        << where;
+    improved.push_back(
+        registry.GetCounter("emp_portfolio_replicas_improved_total")
+            ->value());
+    EXPECT_GE(improved.back(), 1) << where;
+    EXPECT_EQ(registry.GetHistogram("emp_portfolio_replica_p")->count(), 3)
+        << where;
+    EXPECT_EQ(registry.GetGauge("emp_portfolio_threads")->value(),
+              static_cast<double>(threads))
+        << where;
+    EXPECT_EQ(registry.GetGauge("emp_portfolio_best_p")->value(),
+              static_cast<double>(sol->p()))
+        << where;
+    // Replica solves feed the shared registry too.
+    EXPECT_EQ(
+        registry.GetCounter("emp_construction_iterations_total")->value(),
+        3 * options.construction_iterations)
+        << where;
+  }
+  // Counted after the join in replica order, not in finish order.
+  EXPECT_EQ(improved[0], improved[1]);
 }
 
 TEST(PortfolioTest, RunLevelMetricsDescribeTheReturnedSolution) {

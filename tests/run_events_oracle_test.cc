@@ -13,10 +13,9 @@
 //     replica table.
 //
 // The portfolio runs at 1 and at 4 threads. Both give the same journal
-// (apart from the portfolio's own `threads` field) and the same final
-// board. At 4 threads the order in which replicas publish their p is a
-// race, so only the curve's shape is checked there: non-decreasing
-// best_p ending at the returned p.
+// (apart from the portfolio's own `threads` field), the same curve and
+// the same final board: the portfolio publishes its best p once, after
+// every replica has constructed.
 //
 // Regenerate the golden files with EMP_REGENERATE_GOLDEN=1 and review the
 // diff.
@@ -46,7 +45,6 @@ struct Observed {
   std::string journal;  // normalized JSONL
   std::string curve;    // one "best_p heterogeneity" line per change
   std::string board;    // final snapshot
-  std::vector<int32_t> curve_p;
   Solution solution;
 };
 
@@ -92,7 +90,6 @@ Observed Observe(const AreaSet& areas, const SolverOptions& options,
     if (line == last) continue;
     last = line;
     out.curve += line;
-    out.curve_p.push_back(s.best_p);
   }
 
   const obs::ProgressSnapshot snap = board.Read();
@@ -152,10 +149,6 @@ TEST(RunEventsOracleTest, PlainSolve) {
 TEST(RunEventsOracleTest, PortfolioIsThreadCountInvariant) {
   SolverOptions options = BaseOptions();
   options.portfolio_replicas = 4;
-  // With the incumbent cutoff on, whether a replica skips tabu depends on
-  // which replicas finished construction first; off, every replica's
-  // record is fixed by its seed alone.
-  options.portfolio_share_incumbent = false;
   options.portfolio_threads = 1;
   Observed serial = Observe(Instance(), options);
   CompareToGolden(Render(serial), "portfolio");
@@ -167,11 +160,7 @@ TEST(RunEventsOracleTest, PortfolioIsThreadCountInvariant) {
             std::regex_replace(serial.journal, kThreads, "threads"));
   EXPECT_EQ(parallel.board, serial.board);
   EXPECT_EQ(parallel.solution.region_of, serial.solution.region_of);
-  ASSERT_FALSE(parallel.curve_p.empty());
-  for (size_t i = 1; i < parallel.curve_p.size(); ++i) {
-    EXPECT_LE(parallel.curve_p[i - 1], parallel.curve_p[i]);
-  }
-  EXPECT_EQ(parallel.curve_p.back(), parallel.solution.p());
+  EXPECT_EQ(parallel.curve, serial.curve);
 }
 
 TEST(RunEventsOracleTest, ConstructionDegradedByFaultHook) {

@@ -113,22 +113,14 @@ TEST(UnifiedGrowthTest, RequiresEmptyPartition) {
 TEST(UnifiedGrowthTest, SolverStrategyOptionProducesValidSolutions) {
   auto areas = synthetic::MakeCatalogDataset("small");
   ASSERT_TRUE(areas.ok());
-  std::vector<Constraint> cs = {
-      Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)};
-  SolverOptions unified;
-  unified.construction_strategy = ConstructionStrategy::kUnifiedGrowth;
-  unified.tabu_max_no_improve = 50;
-  auto sol = SolveEmp(*areas, cs, unified);
-  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-  EXPECT_GT(sol->p(), 0);
+  UnifiedSetup setup(&*areas,
+                     {Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)});
+  ASSERT_TRUE(setup.Grow(/*seed=*/42).ok());
+  EXPECT_GT(setup.partition.NumRegions(), 0);
   ConnectivityChecker check(&areas->graph());
-  auto bc = BoundConstraints::Create(&*areas, cs);
-  ASSERT_TRUE(bc.ok());
-  for (const auto& region : sol->regions) {
-    RegionStats stats(&*bc);
-    for (int32_t a : region) stats.Add(a);
-    EXPECT_TRUE(stats.SatisfiesAll());
-    EXPECT_TRUE(check.IsConnected(region));
+  for (int32_t rid : setup.partition.AliveRegionIds()) {
+    EXPECT_TRUE(setup.partition.region(rid).stats.SatisfiesAll());
+    EXPECT_TRUE(check.IsConnected(setup.partition.region(rid).areas));
   }
 }
 
@@ -147,16 +139,16 @@ TEST(UnifiedGrowthTest, FactStrategyCoversMoreAreasOnMultiConstraint) {
   };
   SolverOptions base;
   base.run_local_search = false;
-  SolverOptions unified = base;
-  unified.construction_strategy = ConstructionStrategy::kUnifiedGrowth;
   auto fact = SolveEmp(*areas, cs, base);
-  auto uni = SolveEmp(*areas, cs, unified);
   ASSERT_TRUE(fact.ok());
-  ASSERT_TRUE(uni.ok());
-  EXPECT_LE(fact->num_unassigned(), uni->num_unassigned());
+  UnifiedSetup setup(&*areas, cs);
+  ASSERT_TRUE(setup.Grow(base.seed).ok());
+  Solution uni;
+  FillAssignmentFromPartition(setup.partition, &uni);
+  EXPECT_LE(fact->num_unassigned(), uni.num_unassigned());
   // And p stays in the same ballpark (within 2x either way).
-  EXPECT_LT(fact->p(), uni->p() * 2 + 1);
-  EXPECT_LT(uni->p(), fact->p() * 2 + 1);
+  EXPECT_LT(fact->p(), uni.p() * 2 + 1);
+  EXPECT_LT(uni.p(), fact->p() * 2 + 1);
 }
 
 }  // namespace

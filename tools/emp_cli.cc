@@ -185,7 +185,7 @@ int Usage() {
       "              [--geojson FILE] [--svg FILE] [--json FILE]\n"
       "              [--iterations N] [--threads N] [--seed S] [--no-tabu]\n"
       "              [--portfolio-replicas N] [--portfolio-threads N]\n"
-      "              [--portfolio-target-p P] [--no-share-incumbent]\n"
+      "              [--portfolio-target-p P]\n"
       "              [--time-budget-ms MS] [--max-evals N]\n"
       "              [--metrics-out FILE(.json|.prom)] [--trace-out FILE]\n"
       "              [--serve-port P (0 = ephemeral)] [--journal-out FILE]\n"
@@ -369,7 +369,6 @@ int CmdSolve(const Args& args) {
       static_cast<int>(args.GetInt("portfolio-threads", 1));
   options.portfolio_target_p =
       static_cast<int32_t>(args.GetInt("portfolio-target-p", -1));
-  options.portfolio_share_incumbent = !args.Has("no-share-incumbent");
   options.time_budget_ms = args.GetInt("time-budget-ms", -1);
   options.max_evaluations = args.GetInt("max-evals", -1);
 
