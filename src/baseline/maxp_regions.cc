@@ -10,11 +10,9 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/str_util.h"
-#include "core/feasibility.h"
-#include "core/local_search/heterogeneity.h"
-#include "core/local_search/tabu.h"
 #include "core/partition.h"
-#include "graph/connectivity.h"
+#include "core/run_events.h"
+#include "core/solve_phases.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -74,41 +72,28 @@ Result<MaxPRegionsSolver> MaxPRegionsSolver::Create(const AreaSet* areas,
   return MaxPRegionsSolver(areas, std::move(attribute), threshold, options);
 }
 
-Result<Solution> MaxPRegionsSolver::Solve() {
-  return Solve(MakeRunContext(options_));
+Result<Solution> MaxPRegionsSolver::Solve(const RunContext& ctx) {
+  return RunBracketed(areas_, options_, ctx, [&]() -> Result<Solution> {
+    EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
+                         BoundConstraints::Create(areas_, constraints_));
+    obs::ScopedSpan solve_span(ctx.trace, "solve");
+    Solution solution;
+    Partition partition(&bound);
+    EMP_RETURN_IF_ERROR(FeasibilityPhase(bound, ctx, &solution));
+    if (solution.termination_reason == TerminationReason::kConverged) {
+      Construct(ctx, &partition, &solution);
+      EMP_RETURN_IF_ERROR(TabuPhase(options_, ctx, /*worker=*/0, &partition,
+                                    &solution));
+    }
+    FillAssignmentFromPartition(partition, &solution);
+    return solution;
+  });
 }
 
-Result<Solution> MaxPRegionsSolver::Solve(const RunContext& ctx) {
-  EMP_RETURN_IF_ERROR(ValidateSolverOptions(options_));
-  if (areas_ == nullptr) {
-    return Status::InvalidArgument("MaxPRegionsSolver: null area set");
-  }
-  EMP_ASSIGN_OR_RETURN(
-      BoundConstraints bound,
-      BoundConstraints::Create(
-          areas_, {Constraint::Sum(attribute_, threshold_, kNoUpperBound)}));
-
-  Stopwatch feasibility_timer;
-  FeasibilityReport feasibility;
-  double feasibility_seconds = 0.0;
-  {
-    PhaseSupervisor supervisor(&ctx, "feasibility");
-    EMP_ASSIGN_OR_RETURN(feasibility, CheckFeasibility(bound, &supervisor));
-    feasibility_seconds = feasibility_timer.ElapsedSeconds();
-    if (auto reason = supervisor.tripped()) {
-      Solution degraded;
-      degraded.feasibility = std::move(feasibility);
-      degraded.feasibility_seconds = feasibility_seconds;
-      degraded.termination_reason = *reason;
-      Partition empty(&bound);
-      FillAssignmentFromPartition(empty, &degraded);
-      return degraded;
-    }
-  }
-  if (!feasibility.feasible) {
-    return Status::Infeasible(Join(feasibility.diagnostics, "; "));
-  }
-
+void MaxPRegionsSolver::Construct(const RunContext& ctx, Partition* out,
+                                  Solution* solution) const {
+  const int iterations = options_.construction_iterations;
+  RunEvents(ctx).ConstructionBegin(iterations, /*threads=*/1);
   Stopwatch construction_timer;
   obs::ScopedSpan construction_span(ctx.trace, "maxp.construction");
   obs::Counter* regions_grown =
@@ -118,19 +103,17 @@ Result<Solution> MaxPRegionsSolver::Solve(const RunContext& ctx) {
   obs::Counter* enclave_assignments =
       obs::GetCounter(ctx.metrics, "emp_maxp_enclave_assignments_total");
   const std::span<const double> d = areas_->dissimilarity();
-  ConnectivityChecker connectivity(&areas_->graph());
   const int32_t n = areas_->num_areas();
 
   std::optional<Partition> best;
   int32_t best_p = -1;
   int completed_iterations = 0;
   std::optional<TerminationReason> construction_trip;
-  const int iterations = options_.construction_iterations;
 
   for (int iter = 0; iter < iterations; ++iter) {
     Rng rng(options_.seed +
             0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(iter));
-    Partition partition(&bound);
+    Partition partition(&out->bound());
     PhaseSupervisor supervisor(&ctx, "maxp", /*worker=*/iter);
 
     std::vector<int32_t> order(static_cast<size_t>(n));
@@ -208,35 +191,13 @@ Result<Solution> MaxPRegionsSolver::Solve(const RunContext& ctx) {
     }
   }
 
-  Solution solution;
-  solution.feasibility = std::move(feasibility);
-  solution.feasibility_seconds = feasibility_seconds;
-  solution.completed_construction_iterations = completed_iterations;
-  solution.construction_seconds = construction_timer.ElapsedSeconds();
-  solution.heterogeneity_before_local_search = ComputeHeterogeneity(*best);
+  *out = std::move(*best);
+  solution->completed_construction_iterations = completed_iterations;
+  solution->construction_seconds = construction_timer.ElapsedSeconds();
   if (construction_trip.has_value()) {
-    solution.termination_reason = *construction_trip;
+    solution->termination_reason = *construction_trip;
   }
-
-  if (options_.run_local_search && best_p > 0) {
-    Stopwatch tabu_timer;
-    PhaseSupervisor supervisor(&ctx, "tabu");
-    EMP_ASSIGN_OR_RETURN(solution.tabu_result,
-                         TabuSearch(options_, &connectivity, &*best,
-                                    /*objective=*/nullptr, &supervisor));
-    solution.local_search_seconds = tabu_timer.ElapsedSeconds();
-    solution.heterogeneity = solution.tabu_result.final_heterogeneity;
-    if (solution.termination_reason == TerminationReason::kConverged) {
-      solution.termination_reason = solution.tabu_result.termination;
-    }
-  } else {
-    solution.heterogeneity = solution.heterogeneity_before_local_search;
-    solution.tabu_result.initial_heterogeneity = solution.heterogeneity;
-    solution.tabu_result.final_heterogeneity = solution.heterogeneity;
-  }
-
-  FillAssignmentFromPartition(*best, &solution);
-  return solution;
+  EndConstruction(ctx, *out, solution);
 }
 
 }  // namespace emp

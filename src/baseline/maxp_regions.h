@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "constraints/constraint.h"
+#include "core/partition.h"
 #include "core/run_context.h"
 #include "core/solution.h"
 #include "core/solver.h"
@@ -24,8 +25,10 @@ namespace emp {
 /// greedily absorb unassigned neighbors until the threshold is met;
 /// leftover areas (enclaves) are attached to the adjacent region with the
 /// most similar dissimilarity profile. Several construction iterations keep
-/// the partition with the largest p. The local-search phase reuses the same
-/// Tabu machinery as FaCT with the single SUM constraint.
+/// the partition with the largest p. Only construction is its own: the
+/// feasibility and tabu phases and the run bracket are FaCT's
+/// (core/solve_phases.h), so a run writes the same journal, curve, spans
+/// and run-level metrics as a FaCT run.
 class MaxPRegionsSolver : public Solver {
  public:
   /// Validating named constructor: checks `options`, requires a non-null
@@ -43,15 +46,16 @@ class MaxPRegionsSolver : public Solver {
   MaxPRegionsSolver(const AreaSet* areas, std::string attribute,
                     double threshold, SolverOptions options = {});
 
-  /// Runs construction + Tabu. Infeasible when the dataset total of
-  /// `attribute` is below the threshold. Honors
-  /// time_budget_ms/max_evaluations via MakeRunContext, like FactSolver.
-  Result<Solution> Solve() override;
+  /// Solve() (inherited) is Solve(MakeRunContext(options())), so
+  /// time_budget_ms / max_evaluations are honored.
+  using Solver::Solve;
 
-  /// Same under an explicit supervision context: on a trip the partial
-  /// partition is finalized (in-progress under-threshold region dissolved)
-  /// and returned with Solution::termination_reason set. Construction
-  /// checkpoints use phase "maxp"; the Tabu phase stays "tabu".
+  /// Runs feasibility, construction and Tabu under an explicit supervision
+  /// context. Infeasible when the dataset total of `attribute` is below the
+  /// threshold. On a trip the partial partition is finalized (in-progress
+  /// under-threshold region dissolved) and returned with
+  /// Solution::termination_reason set. Construction checkpoints use phase
+  /// "maxp"; the feasibility and Tabu phases keep their own names.
   Result<Solution> Solve(const RunContext& ctx) override;
 
   const SolverOptions& options() const override { return options_; }
@@ -62,6 +66,11 @@ class MaxPRegionsSolver : public Solver {
   }
 
  private:
+  /// Best-of-k greedy construction into `out` (empty, bound to the SUM
+  /// constraint), closed with EndConstruction.
+  void Construct(const RunContext& ctx, Partition* out,
+                 Solution* solution) const;
+
   const AreaSet* areas_;
   std::string attribute_;
   double threshold_;

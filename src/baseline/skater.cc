@@ -7,26 +7,14 @@
 
 #include "common/stopwatch.h"
 #include "common/str_util.h"
-#include "core/feasibility.h"
-#include "core/local_search/heterogeneity.h"
-#include "core/local_search/tabu.h"
 #include "core/partition.h"
-#include "graph/connectivity.h"
+#include "core/run_events.h"
+#include "core/solve_phases.h"
 #include "graph/dsu.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace emp {
-
-namespace {
-
-struct TreeEdge {
-  int32_t a;
-  int32_t b;
-  double weight;
-};
-
-}  // namespace
 
 SkaterMaxPSolver::SkaterMaxPSolver(const AreaSet* areas,
                                    std::string attribute, double threshold,
@@ -57,53 +45,32 @@ Result<SkaterMaxPSolver> SkaterMaxPSolver::Create(const AreaSet* areas,
   return SkaterMaxPSolver(areas, std::move(attribute), threshold, options);
 }
 
-Result<Solution> SkaterMaxPSolver::Solve() {
-  return Solve(MakeRunContext(options_));
-}
+namespace {
 
-Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
-  EMP_RETURN_IF_ERROR(ValidateSolverOptions(options_));
-  if (areas_ == nullptr) {
-    return Status::InvalidArgument("SkaterMaxPSolver: null area set");
-  }
-  EMP_ASSIGN_OR_RETURN(
-      BoundConstraints bound,
-      BoundConstraints::Create(
-          areas_, {Constraint::Sum(attribute_, threshold_, kNoUpperBound)}));
+struct TreeEdge {
+  int32_t a;
+  int32_t b;
+  double weight;
+};
 
-  Stopwatch feasibility_timer;
-  FeasibilityReport feasibility;
-  double feasibility_seconds = 0.0;
-  {
-    PhaseSupervisor supervisor(&ctx, "feasibility");
-    EMP_ASSIGN_OR_RETURN(feasibility, CheckFeasibility(bound, &supervisor));
-    feasibility_seconds = feasibility_timer.ElapsedSeconds();
-    if (auto reason = supervisor.tripped()) {
-      Solution degraded;
-      degraded.feasibility = std::move(feasibility);
-      degraded.feasibility_seconds = feasibility_seconds;
-      degraded.termination_reason = *reason;
-      Partition empty(&bound);
-      FillAssignmentFromPartition(empty, &degraded);
-      return degraded;
-    }
-  }
-  if (!feasibility.feasible) {
-    return Status::Infeasible(Join(feasibility.diagnostics, "; "));
-  }
-
-  Stopwatch construction_timer;
-  obs::ScopedSpan construction_span(ctx.trace, "skater.construction");
-  PhaseSupervisor supervisor(&ctx, "skater");
-  const ContiguityGraph& graph = areas_->graph();
-  const std::span<const double> d = areas_->dissimilarity();
+/// Cuts the dissimilarity MST of `areas` bottom-up into the most subtrees
+/// whose SUM(attribute) reaches `threshold`, written into `partition`.
+/// A trip before regions materialize leaves `partition` empty: cut flags
+/// may reflect half-accumulated subtree masses, so there is no feasible
+/// partial to return.
+Status CutSpanningTree(const AreaSet& areas, const std::string& attribute,
+                       double threshold, PhaseSupervisor* supervisor,
+                       Partition* partition) {
+  obs::MetricRegistry* metrics = supervisor->context()->metrics;
+  const ContiguityGraph& graph = areas.graph();
+  const std::span<const double> d = areas.dissimilarity();
   const int32_t n = graph.num_nodes();
 
   // --- Kruskal MST (forest) weighted by dissimilarity gaps. -----------
   std::vector<TreeEdge> edges;
   edges.reserve(static_cast<size_t>(graph.num_edges()));
   for (int32_t a = 0; a < n; ++a) {
-    if (supervisor.Check()) break;
+    if (supervisor->Check()) break;
     for (int32_t b : graph.NeighborsOf(a)) {
       if (b > a) {
         edges.push_back({a, b,
@@ -126,24 +93,21 @@ Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
       ++mst_edges;
     }
   }
-  obs::Add(obs::GetCounter(ctx.metrics, "emp_skater_mst_edges_total"),
-           mst_edges);
+  obs::Add(obs::GetCounter(metrics, "emp_skater_mst_edges_total"), mst_edges);
 
   // --- Bottom-up max-p cutting of each tree component. -----------------
   // Iterative post-order: accumulate the attribute over un-cut subtree
   // mass; when a node's accumulated mass reaches the threshold, cut it off
   // as a region root and stop propagating its mass upward.
-  const auto values = *areas_->attributes().ColumnByName(attribute_);
+  const auto values = *areas.attributes().ColumnByName(attribute);
   std::vector<int32_t> parent(static_cast<size_t>(n), -2);  // -2 unvisited
   std::vector<double> acc(static_cast<size_t>(n), 0.0);
   std::vector<char> is_cut_root(static_cast<size_t>(n), 0);
   std::vector<int32_t> preorder;
   preorder.reserve(static_cast<size_t>(n));
-  std::vector<int32_t> roots;
 
   for (int32_t root = 0; root < n; ++root) {
     if (parent[static_cast<size_t>(root)] != -2) continue;
-    roots.push_back(root);
     // DFS collecting post-order.
     std::vector<int32_t> stack = {root};
     parent[static_cast<size_t>(root)] = -1;
@@ -161,46 +125,32 @@ Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
     }
     // Reverse preorder == valid post-order for accumulation.
     for (auto it = local_order.rbegin(); it != local_order.rend(); ++it) {
-      if (supervisor.Check()) break;
+      if (supervisor->Check()) break;
       int32_t v = *it;
       acc[static_cast<size_t>(v)] += values[static_cast<size_t>(v)];
-      if (acc[static_cast<size_t>(v)] >= threshold_) {
+      if (acc[static_cast<size_t>(v)] >= threshold) {
         is_cut_root[static_cast<size_t>(v)] = 1;
       } else if (parent[static_cast<size_t>(v)] >= 0) {
         acc[static_cast<size_t>(parent[static_cast<size_t>(v)])] +=
             acc[static_cast<size_t>(v)];
       }
     }
-    preorder.insert(preorder.end(), local_order.begin(),
-                      local_order.end());
+    preorder.insert(preorder.end(), local_order.begin(), local_order.end());
   }
 
-  // A trip before regions materialize leaves no feasible partial — cut
-  // flags may reflect half-accumulated subtree masses — so the best-effort
-  // answer is the empty solution with the verdict attached.
-  if (auto reason = supervisor.tripped()) {
-    Solution degraded;
-    degraded.feasibility = std::move(feasibility);
-    degraded.feasibility_seconds = feasibility_seconds;
-    degraded.construction_seconds = construction_timer.ElapsedSeconds();
-    degraded.termination_reason = *reason;
-    Partition empty(&bound);
-    FillAssignmentFromPartition(empty, &degraded);
-    return degraded;
-  }
+  if (supervisor->tripped()) return Status::OK();
 
   // --- Materialize regions: nearest cut-root ancestor owns each node;
   // component leftovers (root not cut) attach to one cut child's region.
-  Partition partition(&bound);
   obs::Counter* cut_regions =
-      obs::GetCounter(ctx.metrics, "emp_skater_cut_regions_total");
+      obs::GetCounter(metrics, "emp_skater_cut_regions_total");
   obs::Counter* leftover_attachments =
-      obs::GetCounter(ctx.metrics, "emp_skater_leftover_attachments_total");
+      obs::GetCounter(metrics, "emp_skater_leftover_attachments_total");
   std::vector<int32_t> region_of_node(static_cast<size_t>(n), -1);
   // Top-down over the stored preorder (parents precede children).
   for (int32_t v : preorder) {
     if (is_cut_root[static_cast<size_t>(v)]) {
-      int32_t rid = partition.CreateRegion();
+      int32_t rid = partition->CreateRegion();
       region_of_node[static_cast<size_t>(v)] = rid;
       obs::Add(cut_regions);
     } else if (parent[static_cast<size_t>(v)] >= 0) {
@@ -216,7 +166,7 @@ Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
     for (int32_t v : preorder) {
       // Leftover attachments only add mass to regions already at the SUM
       // threshold, so stopping anywhere keeps every region feasible.
-      if (supervisor.Check()) break;
+      if (supervisor->Check()) break;
       if (region_of_node[static_cast<size_t>(v)] != -1) continue;
       for (int32_t nb : tree[static_cast<size_t>(v)]) {
         if (region_of_node[static_cast<size_t>(nb)] != -1) {
@@ -231,46 +181,56 @@ Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
   }
   for (int32_t v = 0; v < n; ++v) {
     if (region_of_node[static_cast<size_t>(v)] != -1) {
-      partition.Assign(v, region_of_node[static_cast<size_t>(v)]);
+      partition->Assign(v, region_of_node[static_cast<size_t>(v)]);
     }
   }
-  if (partition.NumRegions() == 0) {
+  if (partition->NumRegions() == 0) {
     return Status::Infeasible(
         "no connected component reaches the SUM threshold");
   }
+  return Status::OK();
+}
 
-  Solution solution;
-  solution.feasibility = std::move(feasibility);
-  solution.feasibility_seconds = feasibility_seconds;
-  solution.completed_construction_iterations =
-      supervisor.tripped().has_value() ? 0 : 1;
-  solution.construction_seconds = construction_timer.ElapsedSeconds();
-  solution.heterogeneity_before_local_search =
-      ComputeHeterogeneity(partition);
-  if (auto reason = supervisor.tripped()) {
-    solution.termination_reason = *reason;
-  }
+}  // namespace
 
-  ConnectivityChecker connectivity(&graph);
-  if (options_.run_local_search) {
-    Stopwatch tabu_timer;
-    PhaseSupervisor tabu_supervisor(&ctx, "tabu");
-    EMP_ASSIGN_OR_RETURN(solution.tabu_result,
-                         TabuSearch(options_, &connectivity, &partition,
-                                    /*objective=*/nullptr, &tabu_supervisor));
-    solution.local_search_seconds = tabu_timer.ElapsedSeconds();
-    solution.heterogeneity = solution.tabu_result.final_heterogeneity;
+Result<Solution> SkaterMaxPSolver::Solve(const RunContext& ctx) {
+  return RunBracketed(areas_, options_, ctx, [&]() -> Result<Solution> {
+    EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
+                         BoundConstraints::Create(areas_, constraints_));
+    obs::ScopedSpan solve_span(ctx.trace, "solve");
+    Solution solution;
+    Partition partition(&bound);
+    EMP_RETURN_IF_ERROR(FeasibilityPhase(bound, ctx, &solution));
     if (solution.termination_reason == TerminationReason::kConverged) {
-      solution.termination_reason = solution.tabu_result.termination;
+      EMP_RETURN_IF_ERROR(Construct(ctx, &partition, &solution));
+      EMP_RETURN_IF_ERROR(TabuPhase(options_, ctx, /*worker=*/0, &partition,
+                                    &solution));
     }
-  } else {
-    solution.heterogeneity = solution.heterogeneity_before_local_search;
-    solution.tabu_result.initial_heterogeneity = solution.heterogeneity;
-    solution.tabu_result.final_heterogeneity = solution.heterogeneity;
-  }
+    FillAssignmentFromPartition(partition, &solution);
+    return solution;
+  });
+}
 
-  FillAssignmentFromPartition(partition, &solution);
-  return solution;
+Status SkaterMaxPSolver::Construct(const RunContext& ctx,
+                                   Partition* partition,
+                                   Solution* solution) const {
+  RunEvents(ctx).ConstructionBegin(/*iterations=*/1, /*threads=*/1);
+  Stopwatch construction_timer;
+  {
+    obs::ScopedSpan construction_span(ctx.trace, "skater.construction");
+    PhaseSupervisor supervisor(&ctx, "skater");
+    EMP_RETURN_IF_ERROR(
+        CutSpanningTree(*areas_, attribute_, threshold_, &supervisor,
+                        partition));
+    if (auto reason = supervisor.tripped()) {
+      solution->termination_reason = *reason;
+    } else {
+      solution->completed_construction_iterations = 1;
+    }
+  }
+  solution->construction_seconds = construction_timer.ElapsedSeconds();
+  EndConstruction(ctx, *partition, solution);
+  return Status::OK();
 }
 
 }  // namespace emp

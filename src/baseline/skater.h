@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "constraints/constraint.h"
+#include "core/partition.h"
 #include "core/run_context.h"
 #include "core/solution.h"
 #include "core/solver.h"
@@ -19,8 +20,10 @@ namespace emp {
 /// cites), adapted to the max-p objective: build a minimum spanning tree
 /// of the contiguity graph weighted by dissimilarity |d_i − d_j|, then cut
 /// it bottom-up into the maximum number of subtrees whose SUM(attribute)
-/// meets the threshold; leftovers attach to their parent-side region. The
-/// shared Tabu phase then polishes heterogeneity.
+/// meets the threshold; leftovers attach to their parent-side region. Only
+/// construction is its own: the feasibility and Tabu phases and the run
+/// bracket are FaCT's (core/solve_phases.h), so a run writes the same
+/// journal, curve, spans and run-level metrics as a FaCT run.
 ///
 /// Serves as a second baseline next to MP-regions for the single-SUM
 /// query; like MP it supports no enriched constraints and leaves no U0 on
@@ -41,18 +44,19 @@ class SkaterMaxPSolver : public Solver {
   SkaterMaxPSolver(const AreaSet* areas, std::string attribute,
                    double threshold, SolverOptions options = {});
 
-  /// Runs MST construction + bottom-up cutting + Tabu. Infeasible when a
-  /// connected component's attribute total is below the threshold — those
-  /// components' areas end up unassigned; fully infeasible datasets (no
-  /// component can host a region) return kInfeasible. Honors
-  /// time_budget_ms/max_evaluations via MakeRunContext, like FactSolver.
-  Result<Solution> Solve() override;
+  /// Solve() (inherited) is Solve(MakeRunContext(options())), so
+  /// time_budget_ms / max_evaluations are honored.
+  using Solver::Solve;
 
-  /// Same under an explicit supervision context (checkpoints use phase
-  /// "skater"; the Tabu phase stays "tabu"). Tree cutting has no
-  /// incremental feasible state, so a trip before regions materialize
-  /// returns the degraded empty solution (p = 0) with the verdict — never
-  /// kInfeasible, which only a finished run may claim.
+  /// Runs feasibility, MST construction + bottom-up cutting, and Tabu
+  /// under an explicit supervision context. Infeasible when a connected
+  /// component's attribute total is below the threshold — those
+  /// components' areas end up unassigned; fully infeasible datasets (no
+  /// component can host a region) return kInfeasible. Construction
+  /// checkpoints use phase "skater". Tree cutting has no incremental
+  /// feasible state, so a trip before regions materialize returns the
+  /// degraded empty solution (p = 0) with the verdict — never kInfeasible,
+  /// which only a finished run may claim.
   Result<Solution> Solve(const RunContext& ctx) override;
 
   const SolverOptions& options() const override { return options_; }
@@ -63,6 +67,11 @@ class SkaterMaxPSolver : public Solver {
   }
 
  private:
+  /// The tree construction into `partition` (empty, bound to the SUM
+  /// constraint), closed with EndConstruction.
+  Status Construct(const RunContext& ctx, Partition* partition,
+                   Solution* solution) const;
+
   const AreaSet* areas_;
   std::string attribute_;
   double threshold_;

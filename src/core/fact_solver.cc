@@ -10,13 +10,12 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/str_util.h"
 #include "common/ticket_pool.h"
 #include "core/construction/seeding.h"
-#include "core/local_search/heterogeneity.h"
 #include "core/partition.h"
 #include "core/portfolio.h"
 #include "core/run_events.h"
+#include "core/solve_phases.h"
 #include "graph/connectivity.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,41 +52,28 @@ Result<FactSolver> FactSolver::Create(const AreaSet* areas,
 }
 
 Result<Solution> FactSolver::Solve(const RunContext& ctx) {
-  EMP_RETURN_IF_ERROR(ValidateSolverOptions(options_));
-  if (areas_ == nullptr) {
-    return Status::InvalidArgument("FactSolver: null area set");
-  }
-
-  RunEvents events(ctx);
-  events.RunBegin(options_, *areas_);
-  Stopwatch run_timer;
   // Multi-start portfolio requested: run N independent replicas and
-  // reduce deterministically. Replicas run Construct and LocalSearch
-  // under child contexts without observation sinks, so the bracket
-  // written here stays the run's only run_start/run_end pair.
-  Result<Solution> result = [&]() -> Result<Solution> {
-    if (options_.portfolio_replicas > 1) {
-      PortfolioSolver portfolio(areas_, constraints_, options_);
-      Result<Solution> reduced = portfolio.Solve(ctx);
-      portfolio_stats_ = portfolio.stats();
-      return reduced;
-    }
-    Stopwatch solve_timer;
+  // reduce deterministically. The portfolio writes the run bracket itself;
+  // its replicas run Construct and TabuPhase under child contexts without
+  // observation sinks, so that bracket stays the run's only one.
+  if (options_.portfolio_replicas > 1) {
+    PortfolioSolver portfolio(areas_, constraints_, options_);
+    Result<Solution> reduced = portfolio.Solve(ctx);
+    portfolio_stats_ = portfolio.stats();
+    return reduced;
+  }
+  return RunBracketed(areas_, options_, ctx, [&]() -> Result<Solution> {
     EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
                          BoundConstraints::Create(areas_, constraints_));
     obs::ScopedSpan solve_span(ctx.trace, "solve");
     EMP_ASSIGN_OR_RETURN(Constructed run, Construct(bound, ctx));
     // A plain solve polishes whatever construction returned, interrupted
     // or not; a tripped context stops tabu at its first checkpoint.
-    if (options_.run_local_search && run.partition.NumRegions() > 0) {
-      EMP_RETURN_IF_ERROR(LocalSearch(ctx, /*worker=*/0, &run));
-    }
+    EMP_RETURN_IF_ERROR(TabuPhase(options_, ctx, /*worker=*/0,
+                                  &run.partition, &run.solution));
     FillAssignmentFromPartition(run.partition, &run.solution);
-    RecordRunMetrics(ctx, run.solution, solve_timer.ElapsedSeconds());
     return std::move(run.solution);
-  }();
-  events.RunEnd(result, run_timer.ElapsedSeconds());
-  return result;
+  });
 }
 
 Result<FactSolver::Constructed> FactSolver::Construct(
@@ -96,34 +82,12 @@ Result<FactSolver::Constructed> FactSolver::Construct(
   RunEvents events(ctx);
 
   // ---- Phase 1: feasibility. ----------------------------------------
-  events.PhaseBegin("feasibility");
-  Stopwatch feasibility_timer;
-  double feasibility_seconds = 0.0;
-  FeasibilityReport feasibility;
-  {
-    obs::ScopedSpan span(ctx.trace, "feasibility");
-    PhaseSupervisor supervisor(&ctx, "feasibility");
-    EMP_ASSIGN_OR_RETURN(feasibility,
-                         CheckFeasibility(bound, &supervisor));
-    feasibility_seconds = feasibility_timer.ElapsedSeconds();
-    obs::Set(obs::GetGauge(metrics, "emp_feasibility_seconds"),
-             feasibility_seconds);
-    events.FeasibilityEnd(feasibility, feasibility_seconds);
-    if (auto reason = supervisor.tripped()) {
-      events.Termination("feasibility", *reason);
-      // Interrupted before the verdict: the scan is incomplete, so neither
-      // feasibility nor infeasibility is proven. The only safe best-effort
-      // answer is the empty solution (p = 0, everything unassigned).
-      Constructed degraded{Partition(&bound), Solution()};
-      degraded.solution.feasibility = std::move(feasibility);
-      degraded.solution.feasibility_seconds = feasibility_seconds;
-      degraded.solution.termination_reason = *reason;
-      return degraded;
-    }
+  Solution solution;
+  EMP_RETURN_IF_ERROR(FeasibilityPhase(bound, ctx, &solution));
+  if (solution.termination_reason != TerminationReason::kConverged) {
+    return Constructed{Partition(&bound), std::move(solution)};  // Cut short.
   }
-  if (!feasibility.feasible) {
-    return Status::Infeasible(Join(feasibility.diagnostics, "; "));
-  }
+  const FeasibilityReport& feasibility = solution.feasibility;
   if (!options_.filter_invalid_areas && !feasibility.invalid_areas.empty()) {
     return Status::Infeasible(
         std::to_string(feasibility.invalid_areas.size()) +
@@ -300,21 +264,14 @@ Result<FactSolver::Constructed> FactSolver::Construct(
   }
   EMP_RETURN_IF_ERROR(error);
 
-  Constructed constructed{std::move(*best), Solution()};
-  Solution& solution = constructed.solution;
-  solution.feasibility = std::move(feasibility);
-  solution.feasibility_seconds = feasibility_seconds;
   solution.growing_stats = best_growing;
   solution.adjust_stats = best_adjust;
   solution.completed_construction_iterations = completed_iterations;
   solution.construction_seconds = construction_timer.ElapsedSeconds();
-  solution.heterogeneity_before_local_search =
-      ComputeHeterogeneity(constructed.partition);
   if (construction_trip.has_value()) {
     solution.termination_reason = *construction_trip;
-    events.Termination("construction", *construction_trip);
   }
-  events.ConstructionEnd(best_p, solution);
+  EndConstruction(ctx, *best, &solution);
 
   if (metrics != nullptr) {
     obs::GetCounter(metrics, "emp_construction_regions_grown_total")
@@ -337,47 +294,7 @@ Result<FactSolver::Constructed> FactSolver::Construct(
         ->Set(solution.construction_seconds);
   }
 
-  // Until LocalSearch runs, the constructed partition is the answer.
-  solution.heterogeneity = solution.heterogeneity_before_local_search;
-  solution.tabu_result.initial_heterogeneity = solution.heterogeneity;
-  solution.tabu_result.final_heterogeneity = solution.heterogeneity;
-  return constructed;
-}
-
-Status FactSolver::LocalSearch(const RunContext& ctx, int64_t worker,
-                               Constructed* run) const {
-  RunEvents events(ctx);
-  events.PhaseBegin("tabu");
-  ConnectivityChecker connectivity(&areas_->graph());
-  Stopwatch tabu_timer;
-  obs::ScopedSpan span(ctx.trace, "tabu", worker);
-  PhaseSupervisor supervisor(&ctx, "tabu", worker);
-  Solution& solution = run->solution;
-  EMP_ASSIGN_OR_RETURN(solution.tabu_result,
-                       TabuSearch(options_, &connectivity, &run->partition,
-                                  /*objective=*/nullptr, &supervisor));
-  solution.local_search_seconds = tabu_timer.ElapsedSeconds();
-  solution.heterogeneity = solution.tabu_result.final_heterogeneity;
-  if (solution.termination_reason == TerminationReason::kConverged) {
-    solution.termination_reason = solution.tabu_result.termination;
-  }
-  if (solution.tabu_result.termination != TerminationReason::kConverged) {
-    events.Termination("tabu", solution.tabu_result.termination);
-  }
-  events.TabuEnd(solution.tabu_result, solution.local_search_seconds);
-  obs::Set(obs::GetGauge(ctx.metrics, "emp_tabu_seconds"),
-           solution.local_search_seconds);
-  return Status::OK();
-}
-
-void FactSolver::RecordRunMetrics(const RunContext& ctx,
-                                  const Solution& solution, double seconds) {
-  obs::MetricRegistry* metrics = ctx.metrics;
-  if (metrics == nullptr) return;
-  metrics->GetCounter("emp_solver_evaluations_total")->Add(ctx.evaluations());
-  metrics->GetGauge("emp_solver_seconds")->Set(seconds);
-  metrics->GetGauge("emp_solution_p")->Set(solution.p());
-  metrics->GetGauge("emp_solution_heterogeneity")->Set(solution.heterogeneity);
+  return Constructed{std::move(*best), std::move(solution)};
 }
 
 Result<Solution> SolveEmp(const AreaSet& areas,

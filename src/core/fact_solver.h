@@ -86,8 +86,8 @@ class FactSolver : public Solver {
   const PortfolioStats& portfolio_stats() const { return portfolio_stats_; }
 
  private:
-  /// Portfolio replicas run Construct and LocalSearch, the same steps as
-  /// a plain solve, under child contexts.
+  /// Portfolio replicas run Construct and TabuPhase (core/solve_phases.h),
+  /// the same steps as a plain solve, under child contexts.
   friend class PortfolioSolver;
 
   /// A solve after phases 1 and 2: the best constructed partition and
@@ -102,16 +102,6 @@ class FactSolver : public Solver {
   /// phase cut short yields an empty partition and the trip verdict.
   Result<Constructed> Construct(const BoundConstraints& bound,
                                 const RunContext& ctx) const;
-
-  /// Phase 3: tabu on `run->partition` at constant p, recorded into
-  /// `run->solution`. Spans and checkpoints are tagged with `worker`.
-  Status LocalSearch(const RunContext& ctx, int64_t worker,
-                     Constructed* run) const;
-
-  /// Whole-run metrics, written once by the object returning the run's
-  /// Solution (Solve(ctx) or PortfolioSolver::Solve), never by replicas.
-  static void RecordRunMetrics(const RunContext& ctx,
-                               const Solution& solution, double seconds);
 
   const AreaSet* areas_;
   std::vector<Constraint> constraints_;

@@ -11,6 +11,7 @@
 #include "core/fact_solver.h"
 #include "core/partition.h"
 #include "core/run_events.h"
+#include "core/solve_phases.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -57,10 +58,10 @@ Result<Solution> PortfolioSolver::Solve() {
 }
 
 Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
-  EMP_RETURN_IF_ERROR(ValidateSolverOptions(options_));
-  if (areas_ == nullptr) {
-    return Status::InvalidArgument("PortfolioSolver: null area set");
-  }
+  return RunBracketed(areas_, options_, ctx, [&] { return RunReplicas(ctx); });
+}
+
+Result<Solution> PortfolioSolver::RunReplicas(const RunContext& ctx) {
   // Bind once, before any thread spawns: malformed constraints surface
   // here, and every replica's partitions read this one bound.
   EMP_ASSIGN_OR_RETURN(BoundConstraints bound,
@@ -97,12 +98,12 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
 
   // Replicas are single-threaded internally (the solve's parallelism
   // budget is portfolio_threads) and never re-enter the portfolio.
-  auto replica_solver = [&](int32_t replica) {
-    SolverOptions replica_options = options_;
-    replica_options.seed = ReplicaSeed(options_.seed, replica);
-    replica_options.portfolio_replicas = 1;
-    replica_options.construction_threads = 1;
-    return FactSolver(areas_, constraints_, replica_options);
+  auto replica_options = [&](int32_t replica) {
+    SolverOptions options = options_;
+    options.seed = ReplicaSeed(options_.seed, replica);
+    options.portfolio_replicas = 1;
+    options.construction_threads = 1;
+    return options;
   };
 
   // Child supervision context: shares the caller's deadline, evaluation
@@ -178,7 +179,8 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     const RunContext child = child_context(replica);
     Result<FactSolver::Constructed> constructed = [&] {
       obs::ScopedSpan solve_span(child.trace, "solve");
-      return replica_solver(replica).Construct(bound, child);
+      return FactSolver(areas_, constraints_, replica_options(replica))
+          .Construct(bound, child);
     }();
     if (!constructed.ok()) {
       out.status = constructed.status();
@@ -237,8 +239,9 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
     obs::ScopedSpan replica_span(ctx.trace, "portfolio.replica",
                                  /*worker=*/replica);
     events.Replica(replica, obs::ReplicaState::kLocalSearch);
-    out.status = replica_solver(replica).LocalSearch(
-        child_context(replica), /*worker=*/replica, &*out.run);
+    out.status = TabuPhase(replica_options(replica), child_context(replica),
+                           /*worker=*/replica, &out.run->partition,
+                           &out.run->solution);
     finish_replica(replica);
   });
 
@@ -315,9 +318,7 @@ Result<Solution> PortfolioSolver::Solve(const RunContext& ctx) {
         ->Set(portfolio_timer.ElapsedSeconds());
   }
 
-  Solution& solution = *outcomes[static_cast<size_t>(winner)].solution;
-  FactSolver::RecordRunMetrics(ctx, solution, portfolio_timer.ElapsedSeconds());
-  return std::move(solution);
+  return std::move(*outcomes[static_cast<size_t>(winner)].solution);
 }
 
 }  // namespace emp

@@ -90,11 +90,12 @@ class PortfolioSolver {
   /// Runs the portfolio under MakeRunContext(options()).
   Result<Solution> Solve();
 
-  /// Runs the portfolio under an explicit supervision context. Error
-  /// semantics match FactSolver::Solve: kInfeasible / kInvalidArgument
-  /// are errors (a failing replica's error is reported by the lowest
-  /// replica index, deterministically); supervision trips degrade into a
-  /// best-effort Solution tagged with the winner's termination reason.
+  /// Runs the portfolio under an explicit supervision context, inside the
+  /// run bracket (core/solve_phases.h). Error semantics match
+  /// FactSolver::Solve: kInfeasible / kInvalidArgument are errors (a
+  /// failing replica's error is reported by the lowest replica index,
+  /// deterministically); supervision trips degrade into a best-effort
+  /// Solution tagged with the winner's termination reason.
   Result<Solution> Solve(const RunContext& ctx);
 
   const SolverOptions& options() const { return options_; }
@@ -103,6 +104,9 @@ class PortfolioSolver {
   const PortfolioStats& stats() const { return stats_; }
 
  private:
+  /// Both passes and the reduction; Solve(ctx) brackets them.
+  Result<Solution> RunReplicas(const RunContext& ctx);
+
   const AreaSet* areas_;
   std::vector<Constraint> constraints_;
   SolverOptions options_;

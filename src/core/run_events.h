@@ -19,7 +19,7 @@ namespace obs {
 enum class ReplicaState : int32_t;
 }  // namespace obs
 
-/// The one emitter of a FaCT run's facts. Solver code makes one call per
+/// The one emitter of a solver run's facts. Solver code makes one call per
 /// fact (a phase began, construction found its incumbent p, a replica
 /// finished, ...) and this class renders it to whichever of the context's
 /// progress board, run journal and anytime curve are attached; it is the
@@ -34,7 +34,7 @@ class RunEvents {
   RunEvents() = default;
   explicit RunEvents(const RunContext& ctx);
 
-  /// The run bracket, written by FactSolver::Solve(ctx) only.
+  /// The run bracket, written by RunBracketed (core/solve_phases.h) only.
   void RunBegin(const SolverOptions& options, const AreaSet& areas) const;
   void RunEnd(const Result<Solution>& result, double seconds) const;
 

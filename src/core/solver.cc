@@ -1,7 +1,7 @@
 #include "core/solver.h"
 
-#include <map>
-#include <mutex>
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "baseline/maxp_regions.h"
@@ -13,14 +13,6 @@
 namespace emp {
 
 namespace {
-
-/// Registry of name -> factory. Builtins are installed on first access
-/// (not via static registrar objects: those live in a static library and
-/// would be dead-stripped by the linker).
-struct SolverRegistry {
-  std::mutex mu;
-  std::map<std::string, SolverFactory> factories;
-};
 
 Result<std::unique_ptr<Solver>> MakeFact(const SolverSpec& spec) {
   std::vector<Constraint> constraints = spec.constraints;
@@ -69,16 +61,13 @@ Result<std::unique_ptr<Solver>> MakeSkater(const SolverSpec& spec) {
   return std::unique_ptr<Solver>(new SkaterMaxPSolver(std::move(solver)));
 }
 
-SolverRegistry& GetRegistry() {
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry;
-    r->factories["fact"] = MakeFact;
-    r->factories["maxp"] = MakeMaxP;
-    r->factories["skater"] = MakeSkater;
-    return r;
-  }();
-  return *registry;
-}
+/// The registered solvers, sorted by name.
+struct RegisteredSolver {
+  std::string_view name;
+  Result<std::unique_ptr<Solver>> (*make)(const SolverSpec&);
+};
+constexpr RegisteredSolver kSolvers[] = {
+    {"fact", MakeFact}, {"maxp", MakeMaxP}, {"skater", MakeSkater}};
 
 }  // namespace
 
@@ -87,47 +76,23 @@ Solver::~Solver() = default;
 Result<Solution> Solver::Solve() { return Solve(MakeRunContext(options())); }
 
 Result<std::unique_ptr<Solver>> CreateSolver(const SolverSpec& spec) {
-  SolverFactory factory;
-  {
-    SolverRegistry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    auto it = registry.factories.find(spec.solver);
-    if (it == registry.factories.end()) {
-      std::vector<std::string> names;
-      for (const auto& [name, f] : registry.factories) names.push_back(name);
-      return Status::NotFound("unknown solver '" + spec.solver +
-                              "'; registered: " + Join(names, ", "));
-    }
-    factory = it->second;
+  const auto* it = std::find_if(
+      std::begin(kSolvers), std::end(kSolvers),
+      [&](const RegisteredSolver& s) { return s.name == spec.solver; });
+  if (it == std::end(kSolvers)) {
+    return Status::NotFound("unknown solver '" + spec.solver +
+                            "'; registered: " +
+                            Join(RegisteredSolverNames(), ", "));
   }
   if (spec.areas == nullptr) {
     return Status::InvalidArgument("SolverSpec: null area set");
   }
-  return factory(spec);
-}
-
-Status RegisterSolver(std::string name, SolverFactory factory) {
-  if (name.empty() || factory == nullptr) {
-    return Status::InvalidArgument(
-        "RegisterSolver: name and factory are required");
-  }
-  SolverRegistry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  if (!registry.factories.emplace(std::move(name), std::move(factory))
-           .second) {
-    return Status::InvalidArgument("RegisterSolver: name already registered");
-  }
-  return Status::OK();
+  return it->make(spec);
 }
 
 std::vector<std::string> RegisteredSolverNames() {
-  SolverRegistry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<std::string> names;
-  names.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    names.push_back(name);
-  }
+  for (const RegisteredSolver& s : kSolvers) names.emplace_back(s.name);
   return names;
 }
 

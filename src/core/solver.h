@@ -1,7 +1,6 @@
 #ifndef EMP_CORE_SOLVER_H_
 #define EMP_CORE_SOLVER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -79,22 +78,12 @@ struct SolverSpec {
   SolverOptions options;
 };
 
-/// Builds one solver from a spec. All registered factories validate
+/// Builds one solver from a spec. All registered solvers validate
 /// eagerly (options domain, attribute existence, query syntax), so a bad
 /// spec fails HERE with kInvalidArgument / kNotFound — the job API maps
 /// that directly to a 400. Unknown `spec.solver` names the known solvers
 /// in the error message.
 Result<std::unique_ptr<Solver>> CreateSolver(const SolverSpec& spec);
-
-/// One factory in the registry: builds a solver from a spec.
-using SolverFactory =
-    std::function<Result<std::unique_ptr<Solver>>(const SolverSpec&)>;
-
-/// Registers an additional solver under `name` (e.g. an experimental
-/// algorithm in a downstream tool). "fact", "maxp", and "skater" are
-/// pre-registered; re-registering an existing name is an error.
-/// Thread-safe.
-Status RegisterSolver(std::string name, SolverFactory factory);
 
 /// Sorted names of every registered solver.
 std::vector<std::string> RegisteredSolverNames();

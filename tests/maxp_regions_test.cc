@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/fact_solver.h"
 #include "data/synthetic/dataset_catalog.h"
 #include "graph/connectivity.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace emp {
@@ -110,6 +112,27 @@ TEST(MaxPRegionsTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->region_of, b->region_of);
+}
+
+TEST(MaxPRegionsTest, WritesRunLevelMetrics) {
+  AreaSet areas = Grid5();
+  MaxPRegionsSolver solver(&areas, "pop", 25);
+  obs::MetricRegistry registry;
+  RunContext ctx = MakeRunContext(solver.options());
+  ctx.metrics = &registry;
+  auto sol = solver.Solve(ctx);
+  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+  // The run bracket and the shared phases write the same run-level
+  // metrics as a FaCT run.
+  EXPECT_EQ(registry.GetGauge("emp_solution_p")->value(), sol->p());
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (const char* gauge : {"emp_feasibility_seconds", "emp_tabu_seconds",
+                            "emp_solver_seconds"}) {
+    EXPECT_TRUE(std::any_of(
+        snapshot.gauges.begin(), snapshot.gauges.end(),
+        [&](const auto& entry) { return entry.first == gauge; }))
+        << gauge;
+  }
 }
 
 TEST(MaxPRegionsTest, CreateValidatesEagerly) {

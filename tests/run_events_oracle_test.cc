@@ -1,8 +1,9 @@
-// Oracle for what a FaCT run reports to its observation sinks: the run
-// journal, the anytime curve and the progress board. Four fixed runs —
-// a plain solve, a 4-replica portfolio, a construction degraded by the
-// fault hook and a tabu phase cut by it — are rendered to text and
-// compared against golden files under tests/fixtures/golden/run_events/.
+// Oracle for what a run reports to its observation sinks: the run
+// journal, the anytime curve and the progress board. Six fixed runs — a
+// plain FaCT solve, a 4-replica portfolio, a construction degraded by the
+// fault hook, a tabu phase cut by it, and the MP-regions and SKATER
+// baselines on the same map and seed — are rendered to text and compared
+// against golden files under tests/fixtures/golden/run_events/.
 //
 // What is pinned, and what is left out because it depends on timing:
 //   - journal: every record's type and payload, with `ts_ms` and
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <regex>
 #include <sstream>
@@ -32,7 +34,7 @@
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
-#include "core/fact_solver.h"
+#include "core/solver.h"
 #include "data/synthetic/dataset_catalog.h"
 #include "obs/curve.h"
 #include "obs/journal.h"
@@ -62,21 +64,23 @@ std::string FormatH(bool has, double h) {
   return buffer;
 }
 
-Observed Observe(const AreaSet& areas, const SolverOptions& options,
+Observed Observe(const SolverSpec& spec,
                  const std::function<std::optional<TerminationReason>(
                      const SupervisionCheckpoint&)>& fault_hook = nullptr) {
   obs::ProgressBoard board;
   obs::RunJournal journal;
   obs::AnytimeCurve curve;
-  RunContext ctx = MakeRunContext(options);
+  RunContext ctx = MakeRunContext(spec.options);
   ctx.fault_hook = fault_hook;
   ctx.progress_board = &board;
   ctx.journal = &journal;
   ctx.curve = &curve;
-  FactSolver solver(&areas, {Constraint::Sum("TOTALPOP", 20000,
-                                             kNoUpperBound)},
-                    options);
-  Result<Solution> result = solver.Solve(ctx);
+  Result<std::unique_ptr<Solver>> solver = CreateSolver(spec);
+  if (!solver.ok()) {
+    ADD_FAILURE() << solver.status().ToString();
+    return {};
+  }
+  Result<Solution> result = (*solver)->Solve(ctx);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 
   Observed out;
@@ -141,20 +145,84 @@ SolverOptions BaseOptions() {
   return options;
 }
 
+/// SUM(TOTALPOP) >= 20000 on Instance(): prebuilt constraints for FaCT,
+/// attribute + threshold for the baselines.
+SolverSpec Spec(const std::string& solver,
+                const SolverOptions& options = BaseOptions()) {
+  SolverSpec spec;
+  spec.solver = solver;
+  spec.areas = &Instance();
+  spec.options = options;
+  if (solver == "fact") {
+    spec.constraints = {Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)};
+  } else {
+    spec.attribute = "TOTALPOP";
+    spec.threshold = 20000;
+  }
+  return spec;
+}
+
+/// The journal's record types, phase_begin/phase_end qualified by phase.
+std::vector<std::string> JournalShape(const std::string& journal) {
+  static const std::regex kRecord(
+      "\"type\": \"([a-z_]+)\"(, \"phase\": \"([a-z]+)\")?");
+  std::vector<std::string> shape;
+  std::istringstream lines(journal);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (!std::regex_search(line, m, kRecord)) continue;
+    shape.push_back(m[3].matched ? m[1].str() + " " + m[3].str()
+                                 : m[1].str());
+  }
+  return shape;
+}
+
 TEST(RunEventsOracleTest, PlainSolve) {
-  Observed o = Observe(Instance(), BaseOptions());
+  Observed o = Observe(Spec("fact"));
   CompareToGolden(Render(o), "plain");
+}
+
+TEST(RunEventsOracleTest, BaselinesReportLikeFact) {
+  // Every solver runs the same phases inside the same bracket.
+  const std::vector<std::string> shape = {
+      "run_start",
+      "phase_begin feasibility",
+      "phase_end feasibility",
+      "phase_begin construction",
+      "phase_end construction",
+      "phase_begin tabu",
+      "phase_end tabu",
+      "run_end"};
+  static const std::regex kRunEndP("\"run_end\".*\"p\": ([0-9]+)");
+  for (const std::string solver : {"fact", "maxp", "skater"}) {
+    Observed o = Observe(Spec(solver));
+    EXPECT_EQ(JournalShape(o.journal), shape) << solver;
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(o.journal, m, kRunEndP)) << solver;
+    EXPECT_GE(o.solution.p(), 1) << solver;
+    EXPECT_EQ(m[1].str(), std::to_string(o.solution.p())) << solver;
+    // The curve gets p before its first heterogeneity.
+    std::istringstream curve(o.curve);
+    for (int32_t p; curve >> p;) {
+      std::string h;
+      curve >> h;
+      if (h == "null") continue;
+      EXPECT_GE(p, 1) << solver << ": H " << h << " before any p";
+      break;
+    }
+    if (solver != "fact") CompareToGolden(Render(o), solver);
+  }
 }
 
 TEST(RunEventsOracleTest, PortfolioIsThreadCountInvariant) {
   SolverOptions options = BaseOptions();
   options.portfolio_replicas = 4;
   options.portfolio_threads = 1;
-  Observed serial = Observe(Instance(), options);
+  Observed serial = Observe(Spec("fact", options));
   CompareToGolden(Render(serial), "portfolio");
 
   options.portfolio_threads = 4;
-  Observed parallel = Observe(Instance(), options);
+  Observed parallel = Observe(Spec("fact", options));
   static const std::regex kThreads("\"threads\": [0-9]+");
   EXPECT_EQ(std::regex_replace(parallel.journal, kThreads, "threads"),
             std::regex_replace(serial.journal, kThreads, "threads"));
@@ -164,28 +232,27 @@ TEST(RunEventsOracleTest, PortfolioIsThreadCountInvariant) {
 }
 
 TEST(RunEventsOracleTest, ConstructionDegradedByFaultHook) {
-  Observed o = Observe(Instance(), BaseOptions(),
-                   [](const SupervisionCheckpoint& cp)
-                       -> std::optional<TerminationReason> {
-                     if (cp.phase == "construction" && cp.worker == 1 &&
-                         cp.index >= 40) {
-                       return TerminationReason::kFaultInjected;
-                     }
-                     return std::nullopt;
-                   });
+  Observed o = Observe(
+      Spec("fact"),
+      [](const SupervisionCheckpoint& cp) -> std::optional<TerminationReason> {
+        if (cp.phase == "construction" && cp.worker == 1 && cp.index >= 40) {
+          return TerminationReason::kFaultInjected;
+        }
+        return std::nullopt;
+      });
   EXPECT_EQ(o.solution.termination_reason, TerminationReason::kFaultInjected);
   CompareToGolden(Render(o), "construction_fault");
 }
 
 TEST(RunEventsOracleTest, TabuCutByFaultHook) {
-  Observed o = Observe(Instance(), BaseOptions(),
-                   [](const SupervisionCheckpoint& cp)
-                       -> std::optional<TerminationReason> {
-                     if (cp.phase == "tabu" && cp.index >= 25) {
-                       return TerminationReason::kFaultInjected;
-                     }
-                     return std::nullopt;
-                   });
+  Observed o = Observe(
+      Spec("fact"),
+      [](const SupervisionCheckpoint& cp) -> std::optional<TerminationReason> {
+        if (cp.phase == "tabu" && cp.index >= 25) {
+          return TerminationReason::kFaultInjected;
+        }
+        return std::nullopt;
+      });
   EXPECT_EQ(o.solution.termination_reason, TerminationReason::kFaultInjected);
   CompareToGolden(Render(o), "tabu_fault");
 }

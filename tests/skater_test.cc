@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baseline/maxp_regions.h"
 #include "data/synthetic/dataset_catalog.h"
 #include "graph/connectivity.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace emp {
@@ -107,6 +109,27 @@ TEST(SkaterTest, DeterministicAcrossRuns) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->region_of, b->region_of);
+}
+
+TEST(SkaterTest, WritesRunLevelMetrics) {
+  AreaSet areas = test::PathAreaSet({4, 8, 2, 9, 5, 7, 3});
+  SkaterMaxPSolver solver(&areas, "s", 10);
+  obs::MetricRegistry registry;
+  RunContext ctx = MakeRunContext(solver.options());
+  ctx.metrics = &registry;
+  auto sol = solver.Solve(ctx);
+  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+  // The run bracket and the shared phases write the same run-level
+  // metrics as a FaCT run.
+  EXPECT_EQ(registry.GetGauge("emp_solution_p")->value(), sol->p());
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (const char* gauge : {"emp_feasibility_seconds", "emp_tabu_seconds",
+                            "emp_solver_seconds"}) {
+    EXPECT_TRUE(std::any_of(
+        snapshot.gauges.begin(), snapshot.gauges.end(),
+        [&](const auto& entry) { return entry.first == gauge; }))
+        << gauge;
+  }
 }
 
 TEST(SkaterTest, CreateValidatesEagerly) {

@@ -139,30 +139,5 @@ TEST(SolverRegistryTest, BaselineRejectsQueryAndMissingThreshold) {
   EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndAcceptsNew) {
-  auto duplicate = RegisterSolver(
-      "fact", [](const SolverSpec&) -> Result<std::unique_ptr<Solver>> {
-        return Status::Internal("never called");
-      });
-  ASSERT_FALSE(duplicate.ok());
-
-  // A custom registration becomes creatable; forward to the fact factory.
-  auto registered = RegisterSolver(
-      "registry-test-custom",
-      [](const SolverSpec& spec) -> Result<std::unique_ptr<Solver>> {
-        SolverSpec forwarded = spec;
-        forwarded.solver = "fact";
-        return CreateSolver(forwarded);
-      });
-  ASSERT_TRUE(registered.ok()) << registered.ToString();
-
-  const AreaSet areas = Grid4x4();
-  SolverSpec spec = FactSpec(areas);
-  spec.solver = "registry-test-custom";
-  auto solver = CreateSolver(spec);
-  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
-  EXPECT_EQ((*solver)->name(), "fact");
-}
-
 }  // namespace
 }  // namespace emp
