@@ -280,6 +280,111 @@ std::string SolveFingerprint(const std::string& solver_name,
   return buf;
 }
 
+/// FaCT construction only (no tabu), best of 4 iterations on `threads`
+/// workers. The thread count must not change the answer; both are pinned.
+std::string ConstructionFingerprint(const AreaSet& areas,
+                                    std::vector<Constraint> constraints,
+                                    int threads) {
+  SolverSpec spec;
+  spec.solver = "fact";
+  spec.areas = &areas;
+  spec.constraints = std::move(constraints);
+  spec.options.seed = 1234;
+  spec.options.construction_iterations = 4;
+  spec.options.construction_threads = threads;
+  spec.options.run_local_search = false;
+  auto solver = CreateSolver(spec);
+  if (!solver.ok()) return "create-error: " + solver.status().ToString();
+  auto sol = (*solver)->Solve();
+  if (!sol.ok()) return "solve-error: " + sol.status().ToString();
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "p=%d u=%lld hash=%016llx het=%.17g",
+                sol->p(), static_cast<long long>(sol->num_unassigned()),
+                static_cast<unsigned long long>(Fnv1aAssignment(*sol)),
+                sol->heterogeneity);
+  return buf;
+}
+
+const AreaSet& Golden9() {
+  static const AreaSet* areas = [] {
+    auto made = synthetic::MakeDefaultDataset("golden9", 300, /*seed=*/17);
+    if (!made.ok()) std::abort();
+    return new AreaSet(std::move(made).value());
+  }();
+  return *areas;
+}
+
+/// golden9 plus a "NET" column that is negative on about a third of the
+/// areas, so SUM lower bounds see donors whose removal raises the sum.
+const AreaSet& Golden9WithNegatives() {
+  static const AreaSet* areas = [] {
+    const AreaSet& base = Golden9();
+    AttributeTable table = base.attributes();
+    const int pop = table.ColumnIndex("TOTALPOP").value();
+    std::vector<double> net;
+    for (int32_t a = 0; a < base.num_areas(); ++a) {
+      const double scale = static_cast<double>((a * 37) % 11 - 3) / 4.0;
+      net.push_back(table.Value(pop, a) * scale);
+    }
+    if (!table.AddColumn("NET", std::move(net)).ok()) std::abort();
+    auto made = AreaSet::CreateWithoutGeometry(
+        "golden9-net", base.graph(), std::move(table), "HOUSEHOLDS");
+    if (!made.ok()) std::abort();
+    return new AreaSet(std::move(made).value());
+  }();
+  return *areas;
+}
+
+struct ConstructionCase {
+  const char* name;
+  const AreaSet& (*areas)();
+  std::vector<Constraint> query;
+  const char* expected;
+};
+
+/// One query shape per construction path: the enriched query (every
+/// family), AVG only (round-2 merges), SUM >= l only (merge repair), COUNT
+/// with both bounds (upper-bound evictions), a MIN lower bound beside a MAX
+/// (extrema combining) and SUM over a column with negative values (swaps
+/// whose donors can gain from losing an area).
+std::vector<ConstructionCase> ConstructionCases() {
+  return {
+      {"enriched", Golden9,
+       {Constraint::Min("POP16UP", kNoLowerBound, 3000),
+        Constraint::Avg("EMPLOYED", 1500, 3500),
+        Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)},
+       "p=32 u=0 hash=7f801c183af0800d het=1181489.0425095507"},
+      {"avg-only", Golden9,
+       {Constraint::Avg("EMPLOYED", 1900, 2100)},
+       "p=52 u=19 hash=216ef755121edbb8 het=3240972.6971800723"},
+      {"sum-lower", Golden9,
+       {Constraint::Sum("TOTALPOP", 20000, kNoUpperBound)},
+       "p=44 u=0 hash=41c001fa7da882fd het=475034.48813905026"},
+      {"count-bounded", Golden9,
+       {Constraint::Count(3, 6), Constraint::Avg("EMPLOYED", 1700, 2300)},
+       "p=45 u=100 hash=fb44b1997a2df4fc het=167835.05216220653"},
+      {"min-lower", Golden9,
+       {Constraint::Min("POP16UP", 1000, 2800),
+        Constraint::Max("EMPLOYED", 2200, kNoUpperBound),
+        Constraint::Sum("TOTALPOP", 15000, kNoUpperBound)},
+       "p=34 u=7 hash=ebaf2cbfdb7ea073 het=1212159.0642966088"},
+      {"sum-negative", Golden9WithNegatives,
+       {Constraint::Avg("EMPLOYED", 1500, 3500),
+        Constraint::Sum("NET", 4000, kNoUpperBound)},
+       "p=71 u=16 hash=e14f8423cfebe4c7 het=1117601.3044760078"},
+  };
+}
+
+TEST(ConstructionGoldenTest, FactConstructionOnlyPinnedPerQueryShape) {
+  for (const ConstructionCase& c : ConstructionCases()) {
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(ConstructionFingerprint(c.areas(), c.query, threads),
+                c.expected)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ConstructionGoldenTest, FactFixedSeedSolutionPinned) {
   EXPECT_EQ(SolveFingerprint("fact"), "p=32 u=0 hash=a6d8ceeab99800be het=485642.03758292162");
 }
