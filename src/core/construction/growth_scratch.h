@@ -38,6 +38,11 @@ struct GrowthScratch {
     return true;
   }
 
+  /// Marked this epoch (by FirstSeen)?
+  bool Seen(int32_t area) const {
+    return area_seen[static_cast<size_t>(area)] == area_epoch;
+  }
+
   std::vector<uint32_t> area_seen;
   uint32_t area_epoch = 0;
 
@@ -47,6 +52,7 @@ struct GrowthScratch {
   std::vector<int32_t> regions;
   std::vector<int32_t> regions2;
   std::vector<int32_t> sweep;
+  std::vector<int32_t> ring;
 };
 
 /// Unassigned active areas adjacent to region `rid`, written into

@@ -1,6 +1,7 @@
 #include "core/construction/monotonic_adjust.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -86,32 +87,87 @@ bool ReceiverOkAfterAdd(const BoundConstraints& bound,
   return progress;
 }
 
+/// The least amount a counting aggregate can lose when one area leaves a
+/// region, per constraint index: 1 for COUNT, the column minimum for SUM
+/// (NaN when the column holds a NaN, which disables the test below).
+std::vector<double> LeastLossPerArea(const BoundConstraints& bound) {
+  std::vector<double> least(static_cast<size_t>(bound.size()), 0.0);
+  for (int ci : bound.counting_indices()) {
+    double m = 1.0;
+    if (bound.constraint(ci).aggregate == Aggregate::kSum) {
+      m = std::numeric_limits<double>::infinity();
+      for (int32_t a = 0; a < bound.areas().num_areas(); ++a) {
+        const double v = bound.ValueOf(ci, a);
+        if (std::isnan(v)) {
+          m = v;
+          break;
+        }
+        m = std::min(m, v);
+      }
+    }
+    least[static_cast<size_t>(ci)] = m;
+  }
+  return least;
+}
+
+/// False when no member can pass DonorOkAfterRemove's counting lower-bound
+/// test: the aggregate after any removal is at most `value - least_loss`
+/// (COUNT loses exactly one; SUM's subtraction rounds monotonically in the
+/// removed value), so when that falls under the bound every member fails.
+bool CanLoseAnArea(const BoundConstraints& bound, const RegionStats& stats,
+                   const std::vector<double>& least_loss) {
+  for (int ci : bound.counting_indices()) {
+    if (stats.AggregateValue(ci) - least_loss[static_cast<size_t>(ci)] <
+        bound.constraint(ci).lower) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// IsConnectedWithout for a member of a region, trying the ring test first:
+/// regions are contiguous by construction, which is the precondition of
+/// ConnectivityChecker::RingConnected.
+bool StaysConnectedWithout(const Partition& partition,
+                           ConnectivityChecker* connectivity, int32_t rid,
+                           int32_t area, GrowthScratch* scratch) {
+  scratch->ring.clear();
+  for (int32_t g : partition.bound().areas().graph().NeighborsOf(area)) {
+    if (partition.RegionOf(g) == rid) scratch->ring.push_back(g);
+  }
+  return connectivity->RingConnected(scratch->ring) ||
+         connectivity->IsConnectedWithout(partition.region(rid).areas, area);
+}
+
 /// Attempts one swap of a boundary area from some neighbor region into the
 /// under-bound region `rid`. Returns the swapped area id or -1.
 int32_t TrySwapInto(const BoundConstraints& bound,
                     ConnectivityChecker* connectivity, Partition* partition,
                     int32_t rid, const std::vector<char>& already_swapped,
+                    const std::vector<double>& least_loss,
                     GrowthScratch* scratch) {
   const auto& graph = bound.areas().graph();
-  const RegionStats& receiver = partition->region(rid).stats;
+  const Region& receiver = partition->region(rid);
+  // The area must border the receiver to preserve its contiguity: tag the
+  // receiver's neighbors once instead of scanning each candidate's.
+  scratch->BeginAreaEpoch(partition->num_areas());
+  for (int32_t member : receiver.areas) {
+    for (int32_t g : graph.NeighborsOf(member)) scratch->FirstSeen(g);
+  }
   partition->NeighborRegionsOfInto(rid, &scratch->regions);
   for (int32_t nb : scratch->regions) {
     const Region& donor = partition->region(nb);
     if (donor.size() <= 1) continue;
+    if (!CanLoseAnArea(bound, donor.stats, least_loss)) continue;
     for (int32_t area : donor.areas) {
       if (already_swapped[static_cast<size_t>(area)]) continue;
-      // The area must border the receiver to preserve its contiguity.
-      bool borders_receiver = false;
-      for (int32_t g : graph.NeighborsOf(area)) {
-        if (partition->RegionOf(g) == rid) {
-          borders_receiver = true;
-          break;
-        }
-      }
-      if (!borders_receiver) continue;
-      if (!ReceiverOkAfterAdd(bound, receiver, area)) continue;
+      if (!scratch->Seen(area)) continue;
+      if (!ReceiverOkAfterAdd(bound, receiver.stats, area)) continue;
       if (!DonorOkAfterRemove(bound, donor.stats, area)) continue;
-      if (!connectivity->IsConnectedWithout(donor.areas, area)) continue;
+      if (!StaysConnectedWithout(*partition, connectivity, nb, area,
+                                 scratch)) {
+        continue;
+      }
       partition->Move(area, rid);
       return area;
     }
@@ -142,6 +198,7 @@ Status AdjustForCounting(ConnectivityChecker* connectivity,
   // --- Phase A: swap boundary areas into under-bound regions. Each area
   // moves at most once (the paper's termination argument).
   std::vector<char> swapped(static_cast<size_t>(partition->num_areas()), 0);
+  const std::vector<double> least_loss = LeastLossPerArea(bound);
   partition->AliveRegionIdsInto(&scratch->sweep);
   for (int32_t rid : scratch->sweep) {
     if (interrupted()) break;
@@ -149,7 +206,7 @@ Status AdjustForCounting(ConnectivityChecker* connectivity,
            BelowCountingLower(bound, partition->region(rid).stats)) {
       if (supervisor != nullptr && supervisor->Check()) break;
       int32_t moved = TrySwapInto(bound, connectivity, partition, rid, swapped,
-                                  scratch);
+                                  least_loss, scratch);
       if (moved == -1) break;
       swapped[static_cast<size_t>(moved)] = 1;
       ++stats->swaps;
@@ -159,16 +216,34 @@ Status AdjustForCounting(ConnectivityChecker* connectivity,
   // --- Phase B: merge regions still under a lower bound with a neighbor,
   // provided the union keeps non-counting constraints and counting upper
   // bounds intact. Repeat until no under-bound region can merge.
+  //
+  // Only under-bound regions win merges, so a region a pass finds at or
+  // over every lower bound changes again only by losing one (it dies).
+  // Later passes skip such settled regions and charge the supervisor for
+  // them in bulk, so every pass still costs one checkpoint per region alive
+  // at its start.
+  enum : char { kOpen, kSettled, kGone };
+  std::vector<char> state(static_cast<size_t>(partition->NumRegionSlots()),
+                          kOpen);
+  partition->AliveRegionIdsInto(&scratch->sweep);
   bool changed = !interrupted();
   while (changed && !interrupted()) {
     changed = false;
-    partition->AliveRegionIdsInto(&scratch->sweep);
+    std::erase_if(scratch->sweep, [&](int32_t rid) {
+      return state[static_cast<size_t>(rid)] == kGone;
+    });
+    int64_t skipped = 0;
     for (int32_t rid : scratch->sweep) {
-      if (supervisor != nullptr && supervisor->Check()) break;
-      if (!partition->IsAlive(rid) || partition->region(rid).size() == 0) {
+      if (state[static_cast<size_t>(rid)] != kOpen) {
+        ++skipped;
         continue;
       }
-      if (!BelowCountingLower(bound, partition->region(rid).stats)) continue;
+      if (supervisor != nullptr && supervisor->CheckMany(skipped + 1)) break;
+      skipped = 0;
+      if (!BelowCountingLower(bound, partition->region(rid).stats)) {
+        state[static_cast<size_t>(rid)] = kSettled;
+        continue;
+      }
       // Among feasible merge partners, take the SMALLEST (by the primary
       // counting attribute): greedy small steps approach the lower bound
       // with minimal overshoot, which is what keeps p near the MP-regions
@@ -216,10 +291,12 @@ Status AdjustForCounting(ConnectivityChecker* connectivity,
       }
       if (best_nb != -1) {
         partition->MergeRegions(rid, best_nb);
+        state[static_cast<size_t>(best_nb)] = kGone;
         ++stats->merges;
         changed = true;
       }
     }
+    if (supervisor != nullptr) supervisor->CheckMany(skipped);
   }
 
   // --- Phase C: evict areas from regions above a counting upper bound.
@@ -238,7 +315,10 @@ Status AdjustForCounting(ConnectivityChecker* connectivity,
       double best_value = -1.0;
       for (int32_t area : r.areas) {
         if (!DonorOkAfterRemove(bound, r.stats, area)) continue;
-        if (!connectivity->IsConnectedWithout(r.areas, area)) continue;
+        if (!StaysConnectedWithout(*partition, connectivity, rid, area,
+                                   scratch)) {
+          continue;
+        }
         double v = bound.ValueOf(primary, area);
         if (v > best_value) {
           best_value = v;

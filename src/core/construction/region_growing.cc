@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace emp {
 
@@ -177,11 +178,60 @@ void InitializeRegions(const BoundConstraints& bound,
   }
 }
 
+/// Substep 2.2's work list. Both rounds sweep `order` front to back and
+/// skip assigned areas. An area is never unassigned during 2.2, so a
+/// skipped entry stays skipped: `pending` keeps only the entries still
+/// unassigned, each with its position in `order`, and the supervisor is
+/// charged for the dropped ones in bulk exactly as if each were visited.
+struct EnclaveSweep {
+  struct Entry {
+    int32_t area;
+    int32_t pos;        // index in `order`
+    int64_t failed_at;  // `clock` when round 1 last rejected it, or -1
+  };
+
+  EnclaveSweep(const std::vector<int32_t>& order, int32_t num_region_slots)
+      : order_size(static_cast<int64_t>(order.size())),
+        region_stamp(static_cast<size_t>(num_region_slots), 0) {
+    pending.reserve(order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      pending.push_back({order[i], static_cast<int32_t>(i), -1});
+    }
+  }
+
+  /// Starts a pass: drops the entries assigned since the last one.
+  void BeginPass(const Partition& partition) {
+    std::erase_if(pending, [&](const Entry& e) {
+      return partition.RegionOf(e.area) != -1;
+    });
+    charged = 0;
+  }
+
+  /// Charges the order entries up to and including position `pos` (pass
+  /// end when `pos` is order_size - 1). True when the supervisor trips.
+  bool ChargeThrough(PhaseSupervisor* supervisor, int64_t pos) {
+    const int64_t n = pos + 1 - charged;
+    charged = pos + 1;
+    return supervisor != nullptr && supervisor->CheckMany(n).has_value();
+  }
+
+  /// Region `rid` gained an area or a merged region.
+  void Stamp(int32_t rid) { region_stamp[static_cast<size_t>(rid)] = ++clock; }
+
+  std::vector<Entry> pending;
+  int64_t order_size;
+  int64_t charged = 0;
+  // A region's stats change only when it gains, and each gain stamps it
+  // with the next clock value. An area round 1 rejected at clock t would be
+  // rejected again by every region stamped at or before t.
+  std::vector<int64_t> region_stamp;
+  int64_t clock = 0;
+};
+
 /// Substep 2.2 round 1: sweep unassigned areas into adjacent regions
 /// whenever the addition keeps every AVG constraint satisfied; repeat to a
 /// fixpoint because each assignment can unlock neighbors.
-bool AssignEnclavesRound1(const BoundConstraints& bound,
-                          const std::vector<int32_t>& order,
+bool AssignEnclavesRound1(const BoundConstraints& bound, EnclaveSweep* sweep,
                           Partition* partition, RegionGrowingStats* stats,
                           PhaseSupervisor* supervisor,
                           GrowthScratch* scratch) {
@@ -189,19 +239,33 @@ bool AssignEnclavesRound1(const BoundConstraints& bound,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (int32_t a : order) {
-      if (supervisor != nullptr && supervisor->Check()) return any_change;
-      if (!partition->IsActive(a) || partition->RegionOf(a) != -1) continue;
-      partition->NeighborRegionsOfAreaInto(a, &scratch->regions);
+    sweep->BeginPass(*partition);
+    for (EnclaveSweep::Entry& e : sweep->pending) {
+      if (sweep->ChargeThrough(supervisor, e.pos)) return any_change;
+      partition->NeighborRegionsOfAreaInto(e.area, &scratch->regions);
+      bool assigned = false;
       for (int32_t rid : scratch->regions) {
-        if (CentralityOkAfterAdd(bound, partition->region(rid).stats, a)) {
-          partition->Assign(a, rid);
+        if (sweep->region_stamp[static_cast<size_t>(rid)] <= e.failed_at) {
+          continue;  // Unchanged since it last rejected this area.
+        }
+        if (CentralityOkAfterAdd(bound, partition->region(rid).stats,
+                                 e.area)) {
+          partition->Assign(e.area, rid);
+          sweep->Stamp(rid);
           ++stats->round1_assignments;
-          changed = true;
-          any_change = true;
+          assigned = true;
           break;
         }
       }
+      if (assigned) {
+        changed = true;
+        any_change = true;
+      } else {
+        e.failed_at = sweep->clock;
+      }
+    }
+    if (sweep->ChargeThrough(supervisor, sweep->order_size - 1)) {
+      return any_change;
     }
   }
   return any_change;
@@ -220,10 +284,9 @@ bool AssignEnclavesRound1(const BoundConstraints& bound,
 /// swallows the entire map (p collapses to 1 on the paper's hard 3k±1k
 /// range). `merge_count` is indexed by region id and covers every region
 /// slot (no region is created after InitializeRegions).
-bool AssignEnclavesRound2(const BoundConstraints& bound,
-                          const std::vector<int32_t>& order, int merge_budget,
-                          std::vector<int>* merge_count, Partition* partition,
-                          RegionGrowingStats* stats,
+bool AssignEnclavesRound2(const BoundConstraints& bound, EnclaveSweep* sweep,
+                          int merge_budget, std::vector<int>* merge_count,
+                          Partition* partition, RegionGrowingStats* stats,
                           PhaseSupervisor* supervisor,
                           GrowthScratch* scratch) {
   const auto& centrality = bound.centrality_indices();
@@ -231,14 +294,16 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
   assert(count.size() == static_cast<size_t>(partition->NumRegionSlots()));
 
   bool any_change = false;
-  for (int32_t a : order) {
-    if (supervisor != nullptr && supervisor->Check()) return any_change;
-    if (!partition->IsActive(a) || partition->RegionOf(a) != -1) continue;
-
+  sweep->BeginPass(*partition);
+  for (const EnclaveSweep::Entry& e : sweep->pending) {
+    if (sweep->ChargeThrough(supervisor, e.pos)) return any_change;
+    const int32_t a = e.area;
     bool assigned = false;
     partition->NeighborRegionsOfAreaInto(a, &scratch->regions);
     for (int32_t rid : scratch->regions) {
       if (assigned) break;
+      // A spent budget puts every union with `rid` over it.
+      if (count[static_cast<size_t>(rid)] >= merge_budget) continue;
       const RegionStats& rs1 = partition->region(rid).stats;
       partition->NeighborRegionsOfInto(rid, &scratch->regions2);
       for (int32_t r2 : scratch->regions2) {
@@ -260,6 +325,7 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
           count[static_cast<size_t>(rid)] = merged_cost;
           ++stats->round2_merges;
           partition->Assign(a, rid);
+          sweep->Stamp(rid);
           ++stats->round2_assignments;
           assigned = true;
           any_change = true;
@@ -268,6 +334,7 @@ bool AssignEnclavesRound2(const BoundConstraints& bound,
       }
     }
   }
+  sweep->ChargeThrough(supervisor, sweep->order_size - 1);
   return any_change;
 }
 
@@ -343,15 +410,16 @@ Status GrowRegions(const SeedingResult& seeding, const SolverOptions& options,
   if (!interrupted()) {
     std::vector<int32_t> order = partition->UnassignedAreas();
     OrderAreas(bound, options.pickup_order, rng, &order);
-    AssignEnclavesRound1(bound, order, partition, stats, supervisor, scratch);
+    EnclaveSweep sweep(order, partition->NumRegionSlots());
+    AssignEnclavesRound1(bound, &sweep, partition, stats, supervisor, scratch);
     if (bound.has_centrality() && !interrupted()) {
       // Per-region round-2 merge budget use.
       std::vector<int> merge_count(
           static_cast<size_t>(partition->NumRegionSlots()), 0);
-      while (AssignEnclavesRound2(bound, order, options.avg_merge_limit,
+      while (AssignEnclavesRound2(bound, &sweep, options.avg_merge_limit,
                                   &merge_count, partition, stats, supervisor,
                                   scratch)) {
-        if (!AssignEnclavesRound1(bound, order, partition, stats, supervisor,
+        if (!AssignEnclavesRound1(bound, &sweep, partition, stats, supervisor,
                                   scratch)) {
           break;
         }

@@ -88,23 +88,57 @@ std::optional<TerminationReason> PhaseSupervisor::Check(int64_t evaluations) {
     pending_evaluations_ += evaluations;
   }
 
-  // Strided slow path: clock read + checkpoint event + evaluation flush.
-  // Index 0 is included so an already-expired deadline trips before any
-  // work is done.
-  if (index % stride_ == 0) {
-    if (pending_evaluations_ > 0) {
-      ctx_->evaluations_spent->fetch_add(pending_evaluations_,
-                                         std::memory_order_relaxed);
-      pending_evaluations_ = 0;
-    }
-    if (ctx_->deadline.Expired()) {
-      tripped_ = TerminationReason::kDeadlineExceeded;
-      return tripped_;
-    }
-    // The board and curve track phase, checkpoint count and evaluation
-    // spend without the solver loops knowing either exists.
-    RunEvents(*ctx_).Checkpoint(phase_, checkpoints_);
+  // Strided slow path. Index 0 is included so an already-expired deadline
+  // trips before any work is done.
+  if (index % stride_ == 0) return StrideCrossing();
+  return std::nullopt;
+}
+
+std::optional<TerminationReason> PhaseSupervisor::StrideCrossing() {
+  // Clock read + checkpoint event + evaluation flush.
+  if (pending_evaluations_ > 0) {
+    ctx_->evaluations_spent->fetch_add(pending_evaluations_,
+                                       std::memory_order_relaxed);
+    pending_evaluations_ = 0;
   }
+  if (ctx_->deadline.Expired()) {
+    tripped_ = TerminationReason::kDeadlineExceeded;
+    return tripped_;
+  }
+  // The board and curve track phase, checkpoint count and evaluation
+  // spend without the solver loops knowing either exists.
+  RunEvents(*ctx_).Checkpoint(phase_, checkpoints_);
+  return std::nullopt;
+}
+
+std::optional<TerminationReason> PhaseSupervisor::CheckMany(int64_t n) {
+  if (tripped_ || n <= 0) return tripped_;
+  if (ctx_ == nullptr) {
+    checkpoints_ += n;
+    return std::nullopt;
+  }
+  if (ctx_->fault_hook || ctx_->max_evaluations >= 0) {
+    // Both observe every single index; replay them one by one.
+    for (int64_t i = 0; i < n; ++i) {
+      if (auto reason = Check()) return reason;
+    }
+    return std::nullopt;
+  }
+  if (ctx_->cancel.cancelled()) {
+    ++checkpoints_;  // The first of the n checkpoints observes it.
+    tripped_ = TerminationReason::kCancelled;
+    return tripped_;
+  }
+  // Unit charges up to and including each stride crossing in [first, end).
+  const int64_t end = checkpoints_ + n;
+  for (int64_t cross = (checkpoints_ + stride_ - 1) / stride_ * stride_;
+       cross < end; cross += stride_) {
+    pending_evaluations_ += cross + 1 - checkpoints_;
+    checkpoints_ = cross + 1;
+    if (auto reason = StrideCrossing()) return reason;
+  }
+  pending_evaluations_ += end - checkpoints_;
+  checkpoints_ = end;
   return std::nullopt;
 }
 

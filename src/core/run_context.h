@@ -173,6 +173,14 @@ class PhaseSupervisor {
   /// the termination reason when the phase must stop, nullopt to continue.
   std::optional<TerminationReason> Check(int64_t evaluations = 1);
 
+  /// Exactly `n` consecutive Check() calls: the fault hook sees the same
+  /// indices, the budget trips at the same index, and every stride
+  /// crossing reads the clock and fires its Checkpoint event. Loops that
+  /// skip entries whose outcome is already known charge them here. O(1)
+  /// plus one slow path per stride crossing when no fault hook and no
+  /// budget are set; it falls back to n Check() calls otherwise.
+  std::optional<TerminationReason> CheckMany(int64_t n);
+
   /// The sticky verdict (nullopt while the phase may continue).
   std::optional<TerminationReason> tripped() const { return tripped_; }
 
@@ -183,6 +191,9 @@ class PhaseSupervisor {
   const RunContext* context() const { return ctx_; }
 
  private:
+  /// The strided slow path of checkpoint `checkpoints_ - 1`.
+  std::optional<TerminationReason> StrideCrossing();
+
   const RunContext* ctx_;
   std::string_view phase_;
   int64_t worker_;
