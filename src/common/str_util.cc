@@ -1,10 +1,10 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 namespace emp {
 
@@ -80,23 +80,32 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 std::string FormatDouble(double v, int precision) {
+  char buf[512];
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::ostringstream os;
-    os << static_cast<long long>(v);
-    return os.str();
+    const auto r =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v));
+    return std::string(buf, r.ptr);
   }
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::fixed << v;
-  std::string s = os.str();
+  // Fixed notation with `precision` decimals, as printf's "%.*f" (and so a
+  // std::fixed stream) prints it; a negative precision means the default 6.
+  if (precision < 0) precision = 6;
+  std::string heap;
+  char* first = buf;
+  char* last = buf + sizeof buf;
+  if (precision > 150) {  // Beyond a 309-digit integer part plus the sign.
+    heap.resize(static_cast<size_t>(precision) + 320);
+    first = heap.data();
+    last = first + heap.size();
+  }
+  const char* end =
+      std::to_chars(first, last, v, std::chars_format::fixed, precision).ptr;
   // Trim trailing zeros but keep at least one decimal digit.
-  size_t dot = s.find('.');
-  if (dot != std::string::npos) {
-    size_t last = s.find_last_not_of('0');
-    if (last == dot) last = dot + 1;
-    s.erase(last + 1);
-  }
-  return s;
+  const std::string_view digits(first, static_cast<size_t>(end - first));
+  const size_t dot = digits.find('.');
+  if (dot == std::string_view::npos) return std::string(digits);
+  size_t last_kept = digits.find_last_not_of('0');
+  if (last_kept == dot) last_kept = dot + 1;
+  return std::string(digits.substr(0, last_kept + 1));
 }
 
 }  // namespace emp

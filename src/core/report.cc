@@ -1,5 +1,8 @@
 #include "core/report.h"
 
+#include <string>
+#include <vector>
+
 #include "common/json_writer.h"
 #include "constraints/constraint_set.h"
 #include "constraints/region_stats.h"
@@ -68,6 +71,14 @@ Result<std::string> SolutionToJson(const AreaSet& areas,
   }
   w.EndArray();
 
+  std::vector<std::string> aggregate_keys;
+  for (int ci = 0; ci < bound.size(); ++ci) {
+    const Constraint& c = bound.constraint(ci);
+    aggregate_keys.push_back(
+        std::string(AggregateName(c.aggregate)) + "(" +
+        (c.aggregate == Aggregate::kCount ? "*" : c.attribute) + ")");
+  }
+
   report.Key("regions");
   w.BeginArray();
   for (size_t rid = 0; rid < solution.regions.size(); ++rid) {
@@ -81,11 +92,7 @@ Result<std::string> SolutionToJson(const AreaSet& areas,
     w.Key("aggregates");
     w.BeginInlineObject();
     for (int ci = 0; ci < bound.size(); ++ci) {
-      const Constraint& c = bound.constraint(ci);
-      std::string key(AggregateName(c.aggregate));
-      key += "(" + (c.aggregate == Aggregate::kCount ? "*" : c.attribute) +
-             ")";
-      w.Key(key);
+      w.Key(aggregate_keys[static_cast<size_t>(ci)]);
       WriteNumber(&w, stats.AggregateValue(ci));
     }
     w.EndObject();

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 
 #include "common/rng.h"
+#include "data/synthetic/dataset_catalog.h"
 #include "graph/components.h"
 
 namespace emp {
@@ -133,6 +135,104 @@ TEST(ConnectivityTest, ArticulationPointsAgreeWithBfsOnRandomGridRegions) {
           << "node " << v << " trial " << trial;
     }
   }
+}
+
+/// Grows a random connected member set of up to `size` nodes from a random
+/// start by repeatedly adding a random unvisited neighbor of a random
+/// member (so the sets are irregular, with holes and bottlenecks).
+std::vector<int32_t> RandomConnectedSet(const ContiguityGraph& g,
+                                        int32_t size, Rng* rng) {
+  std::vector<int32_t> members = {
+      static_cast<int32_t>(rng->UniformInt(0, g.num_nodes() - 1))};
+  for (int attempt = 0; attempt < 8 * size &&
+                        static_cast<int32_t>(members.size()) < size;
+       ++attempt) {
+    const int32_t base = members[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(members.size()) - 1))];
+    const auto neighbors = g.NeighborsOf(base);
+    if (neighbors.empty()) continue;
+    const int32_t nb = neighbors[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(neighbors.size()) - 1))];
+    if (std::find(members.begin(), members.end(), nb) == members.end()) {
+      members.push_back(nb);
+    }
+  }
+  return members;
+}
+
+/// Checks every member of many random connected sets: whenever the ring
+/// test calls a removal safe, the BFS must agree. Returns the share of
+/// removals the ring test decided (the BFS calls it saves).
+double RingTestAgreesWithBfs(const ContiguityGraph& g, uint64_t seed,
+                             int trials, int32_t max_size) {
+  ConnectivityChecker check(&g);
+  Rng rng(seed);
+  int64_t removals = 0;
+  int64_t ring_decided = 0;
+  int64_t cut = 0;
+  std::vector<int32_t> ring;
+  for (int trial = 0; trial < trials; ++trial) {
+    const int32_t size = static_cast<int32_t>(rng.UniformInt(2, max_size));
+    const std::vector<int32_t> members = RandomConnectedSet(g, size, &rng);
+    if (!check.IsConnected(members)) {
+      ADD_FAILURE() << "generator produced a disconnected set";
+      continue;
+    }
+    for (int32_t removed : members) {
+      ring.clear();
+      for (int32_t nb : g.NeighborsOf(removed)) {
+        if (std::find(members.begin(), members.end(), nb) != members.end()) {
+          ring.push_back(nb);
+        }
+      }
+      const bool ring_safe = check.RingConnected(ring);
+      const bool bfs_safe = check.IsConnectedWithout(members, removed);
+      ++removals;
+      if (ring_safe) ++ring_decided;
+      if (!bfs_safe) ++cut;
+      EXPECT_TRUE(!ring_safe || bfs_safe)
+          << "ring test calls a cut vertex safe: node " << removed
+          << " trial " << trial;
+    }
+  }
+  EXPECT_GT(cut, 0) << "the sets must contain cut vertices";
+  EXPECT_GT(ring_decided, 0);
+  return static_cast<double>(ring_decided) / static_cast<double>(removals);
+}
+
+/// Grid with queen (8-neighbor) adjacency: rings of interior cells are
+/// cycles, unlike the triangle-free rook grid.
+ContiguityGraph QueenGrid(int32_t rows, int32_t cols) {
+  std::vector<std::pair<int32_t, int32_t>> edges;
+  for (int32_t r = 0; r < rows; ++r) {
+    for (int32_t c = 0; c < cols; ++c) {
+      const int32_t id = r * cols + c;
+      if (c + 1 < cols) edges.push_back({id, id + 1});
+      if (r + 1 < rows) edges.push_back({id, id + cols});
+      if (r + 1 < rows && c + 1 < cols) edges.push_back({id, id + cols + 1});
+      if (r + 1 < rows && c > 0) edges.push_back({id, id + cols - 1});
+    }
+  }
+  return std::move(ContiguityGraph::FromEdges(rows * cols, edges)).value();
+}
+
+TEST(ConnectivityTest, RingTestIsSoundOnRandomGridSets) {
+  // On the rook grid no two neighbors of a cell touch, so only leaves
+  // pass the ring test; the queen grid exercises real rings.
+  const double rook = RingTestAgreesWithBfs(Grid(12, 12), 91, 400, 60);
+  const double queen = RingTestAgreesWithBfs(QueenGrid(12, 12), 93, 400, 60);
+  std::cout << "ring test skipped the BFS on " << rook * 100
+            << "% of removals (rook grid), " << queen * 100
+            << "% (queen grid)\n";
+}
+
+TEST(ConnectivityTest, RingTestIsSoundOnRandomSetsOfTheSmallMap) {
+  auto areas = synthetic::MakeCatalogDataset("small");
+  ASSERT_TRUE(areas.ok()) << areas.status().ToString();
+  const double skipped =
+      RingTestAgreesWithBfs(areas->graph(), 92, 400, 60);
+  std::cout << "small map: ring test skipped the BFS on " << skipped * 100
+            << "% of removals\n";
 }
 
 TEST(ConnectivityTest, ArticulationRootIsCutVertex) {

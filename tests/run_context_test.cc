@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/solver_options.h"
+#include "obs/curve.h"
 #include "obs/progress.h"
 
 namespace emp {
@@ -222,6 +225,133 @@ TEST(PhaseSupervisorTest, ProgressFiresOnStride) {
   EXPECT_STREQ(snapshot.phase, "tabu");
   EXPECT_EQ(snapshot.checkpoints, 21) << "published at checkpoint index 20";
   EXPECT_EQ(snapshot.evaluations, 21);
+}
+
+/// Everything a supervisor's caller and its observers can see of one run.
+struct SupervisionRecord {
+  std::vector<std::tuple<std::string, int64_t, int64_t>> hook_calls;
+  int64_t checkpoints = 0;
+  std::optional<TerminationReason> verdict;
+  int64_t evaluations = 0;
+  int64_t board_publishes = 0;
+  int64_t board_checkpoints = 0;
+  int64_t board_evaluations = 0;
+  std::vector<int64_t> curve_evaluations;
+
+  bool operator==(const SupervisionRecord&) const = default;
+};
+
+enum class Supervision { kNeither, kFaultHook, kBudget };
+
+/// Runs the charge sequence `ns` through one supervisor, either as single
+/// Check() calls or as one CheckMany(n) per entry, stopping at a trip.
+SupervisionRecord RunCharges(Supervision mode, const std::vector<int64_t>& ns,
+                             bool bulk) {
+  SupervisionRecord record;
+  obs::ProgressBoard board;
+  obs::AnytimeCurve curve(/*capacity=*/4096, /*tick_interval_ms=*/0);
+  RunContext ctx;
+  ctx.progress_board = &board;
+  ctx.curve = &curve;
+  if (mode == Supervision::kFaultHook) {
+    ctx.fault_hook = [&record](const SupervisionCheckpoint& cp)
+        -> std::optional<TerminationReason> {
+      record.hook_calls.emplace_back(std::string(cp.phase), cp.index,
+                                     cp.worker);
+      if (cp.index == 517) return TerminationReason::kFaultInjected;
+      return std::nullopt;
+    };
+  } else if (mode == Supervision::kBudget) {
+    ctx.max_evaluations = 389;
+  }
+  {
+    PhaseSupervisor supervisor(&ctx, "construction", /*worker=*/3,
+                               /*time_check_stride=*/16);
+    for (int64_t n : ns) {
+      bool tripped = false;
+      if (bulk) {
+        tripped = supervisor.CheckMany(n).has_value();
+      } else {
+        for (int64_t i = 0; i < n && !tripped; ++i) {
+          tripped = supervisor.Check().has_value();
+        }
+      }
+      if (tripped) break;
+    }
+    record.checkpoints = supervisor.checkpoints();
+    record.verdict = supervisor.tripped();
+  }
+  record.evaluations = ctx.evaluations();
+  record.board_publishes = board.publishes();
+  const obs::ProgressSnapshot snapshot = board.Read();
+  record.board_checkpoints = snapshot.checkpoints;
+  record.board_evaluations = snapshot.evaluations;
+  for (const auto& sample : curve.Snapshot()) {
+    record.curve_evaluations.push_back(sample.evaluations);
+  }
+  return record;
+}
+
+TEST(PhaseSupervisorTest, CheckManyEqualsThatManyChecks) {
+  // Runs of every length, including empty ones, ones inside a stride and
+  // ones spanning several stride crossings; 600 checkpoints in all, so the
+  // hook (at index 517) and the budget (389 units) both trip mid-run.
+  std::vector<int64_t> ns;
+  for (int64_t i = 0; i < 48; ++i) ns.push_back((i * 7) % 31);
+  int64_t total = 0;
+  for (int64_t n : ns) total += n;
+  ASSERT_GE(total, 600);
+
+  for (Supervision mode : {Supervision::kNeither, Supervision::kFaultHook,
+                           Supervision::kBudget}) {
+    const SupervisionRecord single = RunCharges(mode, ns, /*bulk=*/false);
+    const SupervisionRecord bulk = RunCharges(mode, ns, /*bulk=*/true);
+    EXPECT_TRUE(single == bulk) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(bulk.checkpoints, single.checkpoints);
+    EXPECT_EQ(bulk.verdict, single.verdict);
+    EXPECT_EQ(bulk.evaluations, single.evaluations);
+    EXPECT_EQ(bulk.hook_calls, single.hook_calls);
+    EXPECT_EQ(bulk.board_publishes, single.board_publishes);
+    EXPECT_EQ(bulk.curve_evaluations, single.curve_evaluations);
+    EXPECT_GT(single.board_publishes, 3) << "several stride crossings";
+    switch (mode) {
+      case Supervision::kNeither:
+        EXPECT_FALSE(single.verdict.has_value());
+        EXPECT_EQ(single.checkpoints, total);
+        break;
+      case Supervision::kFaultHook:
+        EXPECT_EQ(single.verdict, TerminationReason::kFaultInjected);
+        EXPECT_EQ(single.checkpoints, 518);
+        EXPECT_EQ(single.hook_calls.size(), 518u);
+        break;
+      case Supervision::kBudget:
+        EXPECT_EQ(single.verdict, TerminationReason::kBudgetExhausted);
+        EXPECT_EQ(single.checkpoints, 390);
+        break;
+    }
+  }
+}
+
+TEST(PhaseSupervisorTest, CheckManyObservesCancellationAtItsFirstCheckpoint) {
+  RunContext ctx;
+  PhaseSupervisor supervisor(&ctx, "test");
+  EXPECT_FALSE(supervisor.CheckMany(100).has_value());
+  ctx.cancel.Cancel();
+  EXPECT_EQ(supervisor.CheckMany(100), TerminationReason::kCancelled);
+  EXPECT_EQ(supervisor.checkpoints(), 101);
+  EXPECT_EQ(supervisor.CheckMany(5), TerminationReason::kCancelled);
+  EXPECT_EQ(supervisor.checkpoints(), 101) << "a tripped supervisor is inert";
+}
+
+TEST(PhaseSupervisorTest, CheckManyHitsAnExpiredDeadlineAtTheNextStride) {
+  RunContext ctx;
+  PhaseSupervisor supervisor(&ctx, "test", /*worker=*/0,
+                             /*time_check_stride=*/64);
+  EXPECT_FALSE(supervisor.CheckMany(10).has_value());
+  ctx.deadline = Deadline::AfterMillis(0);
+  EXPECT_FALSE(supervisor.CheckMany(50).has_value()) << "no stride crossed";
+  EXPECT_EQ(supervisor.CheckMany(100), TerminationReason::kDeadlineExceeded);
+  EXPECT_EQ(supervisor.checkpoints(), 65) << "tripped at index 64";
 }
 
 TEST(MakeRunContextTest, TranslatesBudgetFields) {
