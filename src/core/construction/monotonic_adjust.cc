@@ -125,9 +125,12 @@ bool CanLoseAnArea(const BoundConstraints& bound, const RegionStats& stats,
   return true;
 }
 
-/// IsConnectedWithout for a member of a region, trying the ring test first:
-/// regions are contiguous by construction, which is the precondition of
-/// ConnectivityChecker::RingConnected.
+/// Whether region `rid` stays connected without its member `area`. First
+/// the ring test: when the members adjacent to `area` are connected among
+/// themselves, every path through `area` can detour along them, so the
+/// rest of the region stays connected — regions are contiguous by
+/// construction. Only when the ring is split does it take the BFS over
+/// the whole region.
 bool StaysConnectedWithout(const Partition& partition,
                            ConnectivityChecker* connectivity, int32_t rid,
                            int32_t area, GrowthScratch* scratch) {
@@ -135,7 +138,7 @@ bool StaysConnectedWithout(const Partition& partition,
   for (int32_t g : partition.bound().areas().graph().NeighborsOf(area)) {
     if (partition.RegionOf(g) == rid) scratch->ring.push_back(g);
   }
-  return connectivity->RingConnected(scratch->ring) ||
+  return connectivity->IsConnected(scratch->ring) ||
          connectivity->IsConnectedWithout(partition.region(rid).areas, area);
 }
 

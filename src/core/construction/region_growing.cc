@@ -185,47 +185,56 @@ void InitializeRegions(const BoundConstraints& bound,
 /// charged for the dropped ones in bulk exactly as if each were visited.
 struct EnclaveSweep {
   struct Entry {
-    int32_t area;
     int32_t pos;        // index in `order`
-    int64_t failed_at;  // `clock` when round 1 last rejected it, or -1
+    int32_t failed_at;  // `clock` when round 1 last rejected it, or -1
   };
 
-  EnclaveSweep(const std::vector<int32_t>& order, int32_t num_region_slots)
-      : order_size(static_cast<int64_t>(order.size())),
+  EnclaveSweep(const std::vector<int32_t>& order_in, int32_t num_region_slots)
+      : order(order_in),
         region_stamp(static_cast<size_t>(num_region_slots), 0) {
     pending.reserve(order.size());
     for (size_t i = 0; i < order.size(); ++i) {
-      pending.push_back({order[i], static_cast<int32_t>(i), -1});
+      pending.push_back({static_cast<int32_t>(i), -1});
     }
+  }
+
+  int32_t AreaOf(const Entry& e) const {
+    return order[static_cast<size_t>(e.pos)];
   }
 
   /// Starts a pass: drops the entries assigned since the last one.
   void BeginPass(const Partition& partition) {
     std::erase_if(pending, [&](const Entry& e) {
-      return partition.RegionOf(e.area) != -1;
+      return partition.RegionOf(AreaOf(e)) != -1;
     });
     charged = 0;
   }
 
   /// Charges the order entries up to and including position `pos` (pass
-  /// end when `pos` is order_size - 1). True when the supervisor trips.
+  /// end when `pos` is the last position). True when the supervisor trips.
   bool ChargeThrough(PhaseSupervisor* supervisor, int64_t pos) {
     const int64_t n = pos + 1 - charged;
     charged = pos + 1;
     return supervisor != nullptr && supervisor->CheckMany(n).has_value();
   }
 
+  /// Charges the rest of the pass. True when the supervisor trips.
+  bool ChargeToEnd(PhaseSupervisor* supervisor) {
+    return ChargeThrough(supervisor, static_cast<int64_t>(order.size()) - 1);
+  }
+
   /// Region `rid` gained an area or a merged region.
   void Stamp(int32_t rid) { region_stamp[static_cast<size_t>(rid)] = ++clock; }
 
+  const std::vector<int32_t>& order;
   std::vector<Entry> pending;
-  int64_t order_size;
   int64_t charged = 0;
   // A region's stats change only when it gains, and each gain stamps it
-  // with the next clock value. An area round 1 rejected at clock t would be
-  // rejected again by every region stamped at or before t.
-  std::vector<int64_t> region_stamp;
-  int64_t clock = 0;
+  // with the next clock value (at most one tick per area assigned in 2.2).
+  // An area round 1 rejected at clock t would be rejected again by every
+  // region stamped at or before t.
+  std::vector<int32_t> region_stamp;
+  int32_t clock = 0;
 };
 
 /// Substep 2.2 round 1: sweep unassigned areas into adjacent regions
@@ -242,15 +251,15 @@ bool AssignEnclavesRound1(const BoundConstraints& bound, EnclaveSweep* sweep,
     sweep->BeginPass(*partition);
     for (EnclaveSweep::Entry& e : sweep->pending) {
       if (sweep->ChargeThrough(supervisor, e.pos)) return any_change;
-      partition->NeighborRegionsOfAreaInto(e.area, &scratch->regions);
+      const int32_t a = sweep->AreaOf(e);
+      partition->NeighborRegionsOfAreaInto(a, &scratch->regions);
       bool assigned = false;
       for (int32_t rid : scratch->regions) {
         if (sweep->region_stamp[static_cast<size_t>(rid)] <= e.failed_at) {
           continue;  // Unchanged since it last rejected this area.
         }
-        if (CentralityOkAfterAdd(bound, partition->region(rid).stats,
-                                 e.area)) {
-          partition->Assign(e.area, rid);
+        if (CentralityOkAfterAdd(bound, partition->region(rid).stats, a)) {
+          partition->Assign(a, rid);
           sweep->Stamp(rid);
           ++stats->round1_assignments;
           assigned = true;
@@ -264,9 +273,7 @@ bool AssignEnclavesRound1(const BoundConstraints& bound, EnclaveSweep* sweep,
         e.failed_at = sweep->clock;
       }
     }
-    if (sweep->ChargeThrough(supervisor, sweep->order_size - 1)) {
-      return any_change;
-    }
+    if (sweep->ChargeToEnd(supervisor)) return any_change;
   }
   return any_change;
 }
@@ -297,7 +304,7 @@ bool AssignEnclavesRound2(const BoundConstraints& bound, EnclaveSweep* sweep,
   sweep->BeginPass(*partition);
   for (const EnclaveSweep::Entry& e : sweep->pending) {
     if (sweep->ChargeThrough(supervisor, e.pos)) return any_change;
-    const int32_t a = e.area;
+    const int32_t a = sweep->AreaOf(e);
     bool assigned = false;
     partition->NeighborRegionsOfAreaInto(a, &scratch->regions);
     for (int32_t rid : scratch->regions) {
@@ -334,7 +341,7 @@ bool AssignEnclavesRound2(const BoundConstraints& bound, EnclaveSweep* sweep,
       }
     }
   }
-  sweep->ChargeThrough(supervisor, sweep->order_size - 1);
+  sweep->ChargeToEnd(supervisor);
   return any_change;
 }
 

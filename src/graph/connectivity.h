@@ -26,16 +26,6 @@ class ConnectivityChecker {
   bool IsConnectedWithout(const std::vector<int32_t>& members,
                           int32_t removed);
 
-  /// Local sufficient test for IsConnectedWithout(members, removed) on a
-  /// CONNECTED member set, where `ring` lists the members adjacent to
-  /// `removed`. When the ring is connected on its own, every path through
-  /// `removed` can detour along it, so the rest stays connected. A false
-  /// answer decides nothing: fall back to IsConnectedWithout. Costs one
-  /// BFS over the ring instead of one over the members.
-  bool RingConnected(const std::vector<int32_t>& ring) {
-    return IsConnected(ring);
-  }
-
   /// True if `node` is an articulation point of the subgraph induced by
   /// `members` — equivalent to !IsConnectedWithout but named for readers.
   bool IsCutVertex(const std::vector<int32_t>& members, int32_t node) {

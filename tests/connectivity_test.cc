@@ -161,8 +161,10 @@ std::vector<int32_t> RandomConnectedSet(const ContiguityGraph& g,
 }
 
 /// Checks every member of many random connected sets: whenever the ring
-/// test calls a removal safe, the BFS must agree. Returns the share of
-/// removals the ring test decided (the BFS calls it saves).
+/// test (the members adjacent to the removed node are connected among
+/// themselves, as construction's swaps and evictions test it) calls a
+/// removal safe, the BFS must agree. Returns the share of removals the
+/// ring test decided (the BFS calls it saves).
 double RingTestAgreesWithBfs(const ContiguityGraph& g, uint64_t seed,
                              int trials, int32_t max_size) {
   ConnectivityChecker check(&g);
@@ -185,7 +187,7 @@ double RingTestAgreesWithBfs(const ContiguityGraph& g, uint64_t seed,
           ring.push_back(nb);
         }
       }
-      const bool ring_safe = check.RingConnected(ring);
+      const bool ring_safe = check.IsConnected(ring);
       const bool bfs_safe = check.IsConnectedWithout(members, removed);
       ++removals;
       if (ring_safe) ++ring_decided;
