@@ -18,7 +18,8 @@ ctest --preset asan-ubsan -j "$(nproc)" "$@"
 # TSan stage: focus on the tests that exercise shared-state concurrency —
 # the metric registry, trace buffer, quantile sketches, the anytime-curve
 # recorder, the profiler slot table, the construction worker pool, and
-# the portfolio's two replica passes — plus the local-search
+# the portfolio's two replica passes, the construction-only golden
+# fingerprints (best of 4 iterations on 4 workers) — plus the local-search
 # engine tests, whose metric flushes touch the shared registry, the
 # observability plane (seqlock progress board, HTTP server, run journal),
 # the run-event oracle (a 4-thread portfolio emitting into an attached
