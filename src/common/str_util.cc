@@ -1,8 +1,8 @@
 #include "common/str_util.h"
 
 #include <cctype>
-#include <charconv>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -92,7 +92,9 @@ std::string FormatDouble(double v, int precision) {
   std::string heap;
   char* first = buf;
   char* last = buf + sizeof buf;
-  if (precision > 150) {  // Beyond a 309-digit integer part plus the sign.
+  // `buf` holds a sign, DBL_MAX's 309 integer digits, the point and 150
+  // decimals with room to spare.
+  if (precision > 150) {
     heap.resize(static_cast<size_t>(precision) + 320);
     first = heap.data();
     last = first + heap.size();

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/solver_options.h"
-#include "obs/curve.h"
 #include "obs/progress.h"
 
 namespace emp {
@@ -228,20 +227,24 @@ TEST(PhaseSupervisorTest, ProgressFiresOnStride) {
 }
 
 /// Everything a supervisor's caller and its observers can see of one run.
+/// The board is read after every charge; with charges shorter than the
+/// stride, each read shows at most one new Checkpoint event, so `board`
+/// lists every event's count and evaluation spend. (The anytime curve is
+/// fed by the same events but keeps them only as wall time allows, so
+/// the board stands for both.)
 struct SupervisionRecord {
   std::vector<std::tuple<std::string, int64_t, int64_t>> hook_calls;
   int64_t checkpoints = 0;
   std::optional<TerminationReason> verdict;
   int64_t evaluations = 0;
-  int64_t board_publishes = 0;
-  int64_t board_checkpoints = 0;
-  int64_t board_evaluations = 0;
-  std::vector<int64_t> curve_evaluations;
+  std::vector<std::tuple<int64_t, int64_t, int64_t>> board;
 
   bool operator==(const SupervisionRecord&) const = default;
 };
 
 enum class Supervision { kNeither, kFaultHook, kBudget };
+
+constexpr int64_t kStride = 32;
 
 /// Runs the charge sequence `ns` through one supervisor, either as single
 /// Check() calls or as one CheckMany(n) per entry, stopping at a trip.
@@ -249,10 +252,8 @@ SupervisionRecord RunCharges(Supervision mode, const std::vector<int64_t>& ns,
                              bool bulk) {
   SupervisionRecord record;
   obs::ProgressBoard board;
-  obs::AnytimeCurve curve(/*capacity=*/4096, /*tick_interval_ms=*/0);
   RunContext ctx;
   ctx.progress_board = &board;
-  ctx.curve = &curve;
   if (mode == Supervision::kFaultHook) {
     ctx.fault_hook = [&record](const SupervisionCheckpoint& cp)
         -> std::optional<TerminationReason> {
@@ -265,8 +266,7 @@ SupervisionRecord RunCharges(Supervision mode, const std::vector<int64_t>& ns,
     ctx.max_evaluations = 389;
   }
   {
-    PhaseSupervisor supervisor(&ctx, "construction", /*worker=*/3,
-                               /*time_check_stride=*/16);
+    PhaseSupervisor supervisor(&ctx, "construction", /*worker=*/3, kStride);
     for (int64_t n : ns) {
       bool tripped = false;
       if (bulk) {
@@ -276,26 +276,22 @@ SupervisionRecord RunCharges(Supervision mode, const std::vector<int64_t>& ns,
           tripped = supervisor.Check().has_value();
         }
       }
+      const obs::ProgressSnapshot snapshot = board.Read();
+      record.board.emplace_back(board.publishes(), snapshot.checkpoints,
+                                snapshot.evaluations);
       if (tripped) break;
     }
     record.checkpoints = supervisor.checkpoints();
     record.verdict = supervisor.tripped();
   }
   record.evaluations = ctx.evaluations();
-  record.board_publishes = board.publishes();
-  const obs::ProgressSnapshot snapshot = board.Read();
-  record.board_checkpoints = snapshot.checkpoints;
-  record.board_evaluations = snapshot.evaluations;
-  for (const auto& sample : curve.Snapshot()) {
-    record.curve_evaluations.push_back(sample.evaluations);
-  }
   return record;
 }
 
 TEST(PhaseSupervisorTest, CheckManyEqualsThatManyChecks) {
-  // Runs of every length, including empty ones, ones inside a stride and
-  // ones spanning several stride crossings; 600 checkpoints in all, so the
-  // hook (at index 517) and the budget (389 units) both trip mid-run.
+  // Charges of 0 to 30 checkpoints, so some stay inside a stride and some
+  // cross one; 600 checkpoints in all, so the hook (at index 517) and the
+  // budget (389 units) both trip mid-run.
   std::vector<int64_t> ns;
   for (int64_t i = 0; i < 48; ++i) ns.push_back((i * 7) % 31);
   int64_t total = 0;
@@ -311,9 +307,10 @@ TEST(PhaseSupervisorTest, CheckManyEqualsThatManyChecks) {
     EXPECT_EQ(bulk.verdict, single.verdict);
     EXPECT_EQ(bulk.evaluations, single.evaluations);
     EXPECT_EQ(bulk.hook_calls, single.hook_calls);
-    EXPECT_EQ(bulk.board_publishes, single.board_publishes);
-    EXPECT_EQ(bulk.curve_evaluations, single.curve_evaluations);
-    EXPECT_GT(single.board_publishes, 3) << "several stride crossings";
+    EXPECT_EQ(bulk.board, single.board);
+    ASSERT_FALSE(single.board.empty());
+    EXPECT_GT(std::get<0>(single.board.back()), 10)
+        << "several stride crossings";
     switch (mode) {
       case Supervision::kNeither:
         EXPECT_FALSE(single.verdict.has_value());
