@@ -109,14 +109,8 @@ int32_t ConnectivityChecker::ArticulationPointsInto(
 
   // Iterative Tarjan restricted to the induced subgraph. Handles each
   // connected component of `members` independently.
-  struct Frame {
-    int32_t node;
-    int32_t parent;
-    size_t next_neighbor;
-    int32_t child_count;
-    bool is_cut;
-  };
-  std::vector<Frame> stack;
+  std::vector<TarjanFrame>& stack = tarjan_stack_;
+  stack.clear();
   int32_t timer = 0;
   int32_t components = 0;
 
@@ -127,7 +121,7 @@ int32_t ConnectivityChecker::ArticulationPointsInto(
     disc_[static_cast<size_t>(root)] = low_[static_cast<size_t>(root)] =
         timer++;
     while (!stack.empty()) {
-      Frame& f = stack.back();
+      TarjanFrame& f = stack.back();
       const auto& adj = graph_->NeighborsOf(f.node);
       if (f.next_neighbor < adj.size()) {
         int32_t v = adj[f.next_neighbor++];
@@ -144,10 +138,10 @@ int32_t ConnectivityChecker::ArticulationPointsInto(
         }
       } else {
         // Finished this node; propagate lowlink to the parent.
-        Frame done = f;
+        const TarjanFrame done = f;
         stack.pop_back();
         if (!stack.empty()) {
-          Frame& parent = stack.back();
+          TarjanFrame& parent = stack.back();
           low_[static_cast<size_t>(parent.node)] =
               std::min(low_[static_cast<size_t>(parent.node)],
                        low_[static_cast<size_t>(done.node)]);

@@ -37,8 +37,8 @@ class ConnectivityChecker {
   /// region at once; returns sorted node ids.
   std::vector<int32_t> ArticulationPoints(const std::vector<int32_t>& members);
 
-  /// Allocation-free variant for cache reuse: writes the sorted
-  /// articulation points into `*out` (cleared first) and returns the
+  /// Allocation-free variant for cache reuse (after warm-up): writes the
+  /// sorted articulation points into `*out` (cleared first) and returns the
   /// number of connected components of the induced subgraph (0 for an
   /// empty member set). Duplicate ids in `members` are tolerated and
   /// counted once. The Tabu articulation cache calls this once per
@@ -59,9 +59,17 @@ class ConnectivityChecker {
   std::vector<uint32_t> membership_;  // epoch tag per node
   std::vector<uint32_t> visited_;     // epoch tag per node
   std::vector<int32_t> bfs_queue_;
-  // Tarjan scratch.
+  // Tarjan scratch: discovery times, lowlinks and the DFS stack.
+  struct TarjanFrame {
+    int32_t node;
+    int32_t parent;
+    size_t next_neighbor;
+    int32_t child_count;
+    bool is_cut;
+  };
   std::vector<int32_t> disc_;
   std::vector<int32_t> low_;
+  std::vector<TarjanFrame> tarjan_stack_;
 };
 
 }  // namespace emp
