@@ -63,23 +63,9 @@ HeterogeneityTracker::HeterogeneityTracker(const Partition& partition) {
 
 double HeterogeneityTracker::MoveDelta(int32_t area, int32_t from,
                                        int32_t to) const {
-  const double d = d_[static_cast<size_t>(area)];
   // Leaving `from` removes its pairwise terms with remaining members;
   // joining `to` adds terms with every current member.
-  return regions_[static_cast<size_t>(to)].ContributionOf(d) -
-         regions_[static_cast<size_t>(from)].ContributionOf(d);
-}
-
-void HeterogeneityTracker::MoveDeltas(int32_t area, int32_t from,
-                                      const int32_t* tos, size_t n,
-                                      double* out) const {
-  const double d = d_[static_cast<size_t>(area)];
-  const double from_contrib =
-      regions_[static_cast<size_t>(from)].ContributionOf(d);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = regions_[static_cast<size_t>(tos[i])].ContributionOf(d) -
-             from_contrib;
-  }
+  return ContributionOf(area, to) - ContributionOf(area, from);
 }
 
 void HeterogeneityTracker::ApplyMove(int32_t area, int32_t from, int32_t to) {
@@ -92,12 +78,17 @@ void HeterogeneityTracker::ApplyMove(int32_t area, int32_t from, int32_t to) {
 double ComputeHeterogeneity(const Partition& partition) {
   const auto& d = partition.bound().areas().dissimilarity();
   double total = 0.0;
+  // One region's values gathered contiguously, so the pair loop streams
+  // them instead of chasing area ids; same operands in the same order.
+  std::vector<double> values;
   for (int32_t rid : partition.AliveRegionIds()) {
-    const auto& areas = partition.region(rid).areas;
-    for (size_t i = 0; i < areas.size(); ++i) {
-      for (size_t j = i + 1; j < areas.size(); ++j) {
-        double diff = d[static_cast<size_t>(areas[i])] -
-                      d[static_cast<size_t>(areas[j])];
+    values.clear();
+    for (int32_t area : partition.region(rid).areas) {
+      values.push_back(d[static_cast<size_t>(area)]);
+    }
+    for (size_t i = 0; i < values.size(); ++i) {
+      for (size_t j = i + 1; j < values.size(); ++j) {
+        double diff = values[i] - values[j];
         total += diff < 0 ? -diff : diff;
       }
     }

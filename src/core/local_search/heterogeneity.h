@@ -46,12 +46,13 @@ class HeterogeneityTracker {
   /// Exact H change if `area` moved from region `from` to region `to`.
   double MoveDelta(int32_t area, int32_t from, int32_t to) const;
 
-  /// Batched MoveDelta over n candidate targets of one donor. Hoists the
-  /// donor-side ContributionOf out of the loop; each delta is the same
-  /// expression (to − from) on the same operands as the scalar form, so
-  /// results are bit-identical to calling MoveDelta n times.
-  void MoveDeltas(int32_t area, int32_t from, const int32_t* tos, size_t n,
-                  double* out) const;
+  /// Σ |d_area − d_x| over the members x of region `rid`: the receiver
+  /// half of a move into `rid`, or the donor half of a move out of it
+  /// (the area's own zero term is then included harmlessly).
+  double ContributionOf(int32_t area, int32_t rid) const {
+    return regions_[static_cast<size_t>(rid)].ContributionOf(
+        d_[static_cast<size_t>(area)]);
+  }
 
   /// Records an applied move (call alongside Partition::Move).
   void ApplyMove(int32_t area, int32_t from, int32_t to);

@@ -32,90 +32,108 @@ TabuNeighborhood::TabuNeighborhood(const Partition* partition,
       cut_cache_(partition, connectivity),
       verify_cut_cache_(verify_cut_cache) {
   const size_t n = static_cast<size_t>(partition_->num_areas());
-  area_version_.assign(n, 0);
   area_targets_.resize(n);
+  donors_.resize(n);
+  heap_pos_.assign(n, -1);
   area_seen_.assign(n, 0);
   region_seen_.assign(static_cast<size_t>(partition_->NumRegionSlots()), 0);
 }
 
-int64_t TabuNeighborhood::RescoreArea(int32_t area) {
-  return RescoreAreaImpl(area, /*mutated_a=*/-1, /*mutated_b=*/-1);
+void TabuNeighborhood::ScoreReceiver(int32_t area, Target* t) const {
+  t->receiver = objective_->ReceiverTerm(area, t->to);
+  t->add_ok = partition_->region(t->to).stats.SatisfiesAllAfterAdd(area);
 }
 
-int64_t TabuNeighborhood::RescoreAreaImpl(int32_t area, int32_t mutated_a,
-                                          int32_t mutated_b) {
+void TabuNeighborhood::Decide(int32_t area, int32_t from, Target* t) {
+  Donor& donor = donors_[static_cast<size_t>(area)];
+  t->delta = t->receiver - donor.term;
+  // Same short-circuit as MoveSatisfiesConstraints + contiguity, so the
+  // articulation cache is asked exactly when a candidate passes both
+  // constraint halves — once per area, then remembered.
+  t->admissible = t->add_ok && donor.remove_ok;
+  if (t->admissible) {
+    if (donor.keeps_contiguity < 0) {
+      donor.keeps_contiguity = DonorKeepsContiguity(from, area) ? 1 : 0;
+    }
+    t->admissible = donor.keeps_contiguity == 1;
+  }
+  inadmissible_verdicts_ += t->admissible ? 0 : 1;
+}
+
+int64_t TabuNeighborhood::RescoreArea(int32_t area, int32_t mutated_a,
+                                      int32_t mutated_b, bool donor_changed,
+                                      std::vector<int32_t>* foreign) {
   auto& targets = area_targets_[static_cast<size_t>(area)];
-  for (const Target& t : targets) live_ -= t.admissible ? 1 : 0;
-  // In partial mode (mutated_a >= 0) the old list supplies still-valid
-  // deltas and verdicts for targets whose members did not change.
   old_targets_.clear();
   old_targets_.swap(targets);
-  ++area_version_[static_cast<size_t>(area)];
 
+  int64_t scored = 0;
   const int32_t from = partition_->RegionOf(area);
-  if (from == -1) return 0;
-  if (partition_->region(from).size() <= 1) return 0;  // Cannot donate.
-
-  // A candidate's delta depends only on d[area] and the member multisets
-  // of its two endpoint regions, and its verdict only on those regions'
-  // stats and the donor's members, so when neither endpoint mutated the
-  // old delta and verdict are still exact and need not be decided again.
-  const bool donor_mutated = from == mutated_a || from == mutated_b;
-
-  // Regions can be created between Rebuild() calls by callers sharing the
-  // partition; grow the scratch lazily.
-  const size_t slots = static_cast<size_t>(partition_->NumRegionSlots());
-  if (region_seen_.size() < slots) region_seen_.resize(slots, 0);
-
-  // Gather the distinct target regions first, carrying over bit-exact
-  // deltas for candidates whose endpoints were untouched, then evaluate
-  // everything that actually changed in ONE batched objective call — the
-  // donor-side work is hoisted across the batch and the target loop walks
-  // the SoA arrays without per-candidate virtual dispatch. Appending the
-  // batch after the carried-over entries reorders `targets`, which is
-  // safe: heap selection uses the canonical (delta, area, to) order, and
-  // the old_targets_ lookup keys on the unique `to`.
-  const uint32_t epoch = NextEpoch(&region_seen_, &region_epoch_);
-  const auto& graph = partition_->bound().areas().graph();
-  batch_tos_.clear();
-  for (int32_t nb : graph.NeighborsOf(area)) {
-    const int32_t to = partition_->RegionOf(nb);
-    if (to == -1 || to == from) continue;
-    if (region_seen_[static_cast<size_t>(to)] == epoch) continue;
-    region_seen_[static_cast<size_t>(to)] = epoch;
-    if (mutated_a >= 0 && !donor_mutated && to != mutated_a &&
-        to != mutated_b) {
-      // Both endpoints untouched: the candidate existed before the move
-      // (same donor, same adjacency) with the same delta and verdict.
-      bool reused = false;
-      for (const Target& old : old_targets_) {
-        if (old.to == to) {
-          targets.push_back(old);
-          reused = true;
-          break;
+  const bool can_donate =
+      from != -1 && partition_->region(from).size() > 1;
+  if (can_donate || foreign != nullptr) {
+    // A donor half is cached only while the area has candidates.
+    donor_changed = donor_changed || old_targets_.empty();
+    // Regions can be created between Rebuild() calls by callers sharing
+    // the partition; grow the scratch lazily.
+    const size_t slots = static_cast<size_t>(partition_->NumRegionSlots());
+    if (region_seen_.size() < slots) region_seen_.resize(slots, 0);
+    const uint32_t epoch = NextEpoch(&region_seen_, &region_epoch_);
+    for (int32_t nb : partition_->bound().areas().graph().NeighborsOf(area)) {
+      const int32_t to = partition_->RegionOf(nb);
+      if (to == -1 || to == from) continue;
+      if (foreign != nullptr && to != mutated_a && to != mutated_b &&
+          area_seen_[static_cast<size_t>(nb)] != area_epoch_) {
+        area_seen_[static_cast<size_t>(nb)] = area_epoch_;
+        foreign->push_back(nb);
+      }
+      if (!can_donate || region_seen_[static_cast<size_t>(to)] == epoch) {
+        continue;
+      }
+      region_seen_[static_cast<size_t>(to)] = epoch;
+      if (donor_changed && targets.empty()) {
+        const Region& donor = partition_->region(from);
+        donors_[static_cast<size_t>(area)] = {
+            objective_->DonorTerm(area, from),
+            donor.stats.SatisfiesAllAfterRemove(area), -1};
+      }
+      // A receiver half into an untouched region is still exact.
+      const Target* old = nullptr;
+      if (to != mutated_a && to != mutated_b) {
+        for (const Target& t : old_targets_) {
+          if (t.to == to) {
+            old = &t;
+            break;
+          }
         }
       }
-      if (reused) continue;
-      // Unreachable under the affected-set proof; evaluate to stay safe.
-    }
-    batch_tos_.push_back(to);
-  }
-  const size_t batch = batch_tos_.size();
-  if (batch > 0) {
-    batch_deltas_.resize(batch);
-    objective_->MoveDeltas(area, from, batch_tos_.data(), batch,
-                           batch_deltas_.data());
-    for (size_t i = 0; i < batch; ++i) {
-      const int32_t to = batch_tos_[i];
-      const bool admissible =
-          MoveSatisfiesConstraints(*partition_, area, from, to) &&
-          DonorKeepsContiguity(from, area);
-      inadmissible_verdicts_ += admissible ? 0 : 1;
-      targets.push_back({batch_deltas_[i], to, admissible});
+      if (old != nullptr && !donor_changed) {
+        targets.push_back(*old);  // Neither half changed.
+        continue;
+      }
+      Target t = old != nullptr ? *old : Target{0.0, 0.0, to, false, false};
+      if (old == nullptr) ScoreReceiver(area, &t);
+      Decide(area, from, &t);
+      targets.push_back(t);
+      ++scored;
     }
   }
-  for (const Target& t : targets) live_ += t.admissible ? 1 : 0;
-  return static_cast<int64_t>(batch);
+  UpdateHeapNode(area);
+  return scored;
+}
+
+int64_t TabuNeighborhood::RescoreReceivers(int32_t area, int32_t mutated_a,
+                                           int32_t mutated_b) {
+  const int32_t from = partition_->RegionOf(area);
+  int64_t scored = 0;
+  for (Target& t : area_targets_[static_cast<size_t>(area)]) {
+    if (t.to != mutated_a && t.to != mutated_b) continue;
+    ScoreReceiver(area, &t);
+    Decide(area, from, &t);
+    ++scored;
+  }
+  if (scored > 0) UpdateHeapNode(area);
+  return scored;
 }
 
 bool TabuNeighborhood::DonorKeepsContiguity(int32_t from, int32_t area) {
@@ -130,98 +148,147 @@ bool TabuNeighborhood::DonorKeepsContiguity(int32_t from, int32_t area) {
   return keeps;
 }
 
+int64_t TabuNeighborhood::live_candidates() const {
+  int64_t live = 0;
+  for (const auto& targets : area_targets_) {
+    for (const Target& t : targets) live += t.admissible ? 1 : 0;
+  }
+  return live;
+}
+
 bool TabuNeighborhood::IsAdmissible(const CandidateMove& mv) {
   return MoveSatisfiesConstraints(*partition_, mv.area, mv.from, mv.to) &&
          cut_cache_.DonorKeepsContiguity(mv.from, mv.area);
 }
 
-void TabuNeighborhood::PushAreaEntries(int32_t area) {
-  const uint32_t version = area_version_[static_cast<size_t>(area)];
-  for (const Target& t : area_targets_[static_cast<size_t>(area)]) {
-    if (t.admissible) PushEntry({t.delta, area, t.to, version});
-  }
-}
-
 int64_t TabuNeighborhood::Rebuild() {
   heap_.clear();
+  std::fill(heap_pos_.begin(), heap_pos_.end(), -1);
   cut_cache_.InvalidateAll();
+  for (auto& targets : area_targets_) targets.clear();
   int64_t scored = 0;
   for (int32_t a = 0; a < partition_->num_areas(); ++a) {
-    scored += RescoreArea(a);
-    const uint32_t version = area_version_[static_cast<size_t>(a)];
-    for (const Target& t : area_targets_[static_cast<size_t>(a)]) {
-      if (t.admissible) heap_.push_back({t.delta, a, t.to, version});
-    }
+    scored += RescoreArea(a, /*mutated_a=*/-1, /*mutated_b=*/-1,
+                          /*donor_changed=*/true);
   }
-  std::make_heap(heap_.begin(), heap_.end(), HeapGreater());
   return scored;
 }
 
 int64_t TabuNeighborhood::OnMoveApplied(int32_t area, int32_t from,
                                         int32_t to) {
-  // Affected areas: any area whose candidate set, deltas or verdicts can
-  // have changed. A candidate (a, r_a, t) depends only on d_a plus the
-  // member multisets of r_a and t, and on a's adjacency to t — all
-  // unchanged unless r_a or t is one of the two mutated regions. Every such
-  // candidate belongs to a boundary area of `from`/`to` or to a foreign
-  // area adjacent to one of them, and the moved area plus its whole graph
-  // neighborhood is contained in that set (the donor keeps >= 1 member
-  // adjacent to `area` by the contiguity precondition).
+  // A candidate's receiver half depends only on its area and target
+  // region, its donor half only on its area and own region, and its
+  // target set only on its area's neighbors. So the members of `from` and
+  // `to` re-decide their donor halves (reusing receiver halves into
+  // untouched regions), and every foreign area bordering them re-decides
+  // its receiver halves into `from`/`to`. Scanning every member of both
+  // regions keeps the donor-half invariant: each boundary member of a
+  // mutated region is re-scored.
   cut_cache_.Invalidate(from);
   cut_cache_.Invalidate(to);
-  const uint32_t epoch = NextEpoch(&area_seen_, &area_epoch_);
-  affected_.clear();
-  auto mark = [&](int32_t a) {
-    if (area_seen_[static_cast<size_t>(a)] != epoch) {
-      area_seen_[static_cast<size_t>(a)] = epoch;
-      affected_.push_back(a);
-    }
-  };
-  const auto& graph = partition_->bound().areas().graph();
-  // The moved area and its whole graph neighborhood are re-scored
-  // unconditionally — this is implied by the region scans below whenever
-  // the donor stayed contiguous, but costs nothing to guarantee.
-  mark(area);
-  for (int32_t nb : graph.NeighborsOf(area)) {
-    if (partition_->RegionOf(nb) != -1) mark(nb);
-  }
+  NextEpoch(&area_seen_, &area_epoch_);
+  foreign_.clear();
+  int64_t scored = 0;
   for (int32_t rid : {from, to}) {
     for (int32_t member : partition_->region(rid).areas) {
-      for (int32_t nb : graph.NeighborsOf(member)) {
-        const int32_t nb_region = partition_->RegionOf(nb);
-        if (nb_region == -1 || nb_region == rid) continue;
-        mark(member);
-        mark(nb);
-      }
+      scored += RescoreArea(member, from, to, /*donor_changed=*/true,
+                            &foreign_);
     }
   }
-  // A donor shrunk to a single isolated member escapes both scans; its
-  // stale candidates must still die, so always rescore it.
-  if (partition_->region(from).size() == 1) {
-    mark(partition_->region(from).areas.front());
+  // Only the moved area changed region, so only its neighbors can have
+  // gained (`to`) or lost (`from`) a target region.
+  const auto& moved_neighbors =
+      partition_->bound().areas().graph().NeighborsOf(area);
+  for (int32_t a : foreign_) {
+    scored += std::binary_search(moved_neighbors.begin(),
+                                 moved_neighbors.end(), a)
+                  ? RescoreArea(a, from, to, /*donor_changed=*/false)
+                  : RescoreReceivers(a, from, to);
   }
-
-  int64_t scored = 0;
-  for (int32_t a : affected_) {
-    scored += RescoreAreaImpl(a, from, to);
-    PushAreaEntries(a);
-  }
-  CompactHeap();
   return scored;
 }
 
-void TabuNeighborhood::CompactHeap() {
-  if (heap_.size() <= 64 ||
-      heap_.size() <= 2 * static_cast<size_t>(live_)) {
+void TabuNeighborhood::UpdateHeapNode(int32_t area) {
+  const Target* best = nullptr;
+  for (const Target& t : area_targets_[static_cast<size_t>(area)]) {
+    if (!t.admissible) continue;
+    if (best == nullptr || t.delta < best->delta ||
+        (t.delta == best->delta && t.to < best->to)) {
+      best = &t;
+    }
+  }
+  const int32_t pos = heap_pos_[static_cast<size_t>(area)];
+  if (best == nullptr) {
+    if (pos < 0) return;
+    heap_pos_[static_cast<size_t>(area)] = -1;
+    const CandidateMove last = heap_.back();
+    heap_.pop_back();
+    if (static_cast<size_t>(pos) == heap_.size()) return;
+    PlaceNode(static_cast<size_t>(pos), last);
+    FixHeapAt(static_cast<size_t>(pos));
     return;
   }
-  // Every admissible (area, to) pair sits in the heap exactly once, so
-  // dropping the stale entries in place is a full compaction.
-  heap_.erase(std::remove_if(
-                  heap_.begin(), heap_.end(),
-                  [this](const HeapEntry& e) { return !EntryLive(e); }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), HeapGreater());
+  const CandidateMove node{best->delta, area, partition_->RegionOf(area),
+                           best->to};
+  if (pos < 0) {
+    heap_.push_back(node);
+    PlaceNode(heap_.size() - 1, node);
+    SiftUp(heap_.size() - 1);
+  } else {
+    PlaceNode(static_cast<size_t>(pos), node);
+    FixHeapAt(static_cast<size_t>(pos));
+  }
+}
+
+void TabuNeighborhood::FixHeapAt(size_t i) {
+  if (SiftUp(i) == i) SiftDown(i);
+}
+
+size_t TabuNeighborhood::SiftUp(size_t i) {
+  const CandidateMove node = heap_[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!CandidateOrderLess(node, heap_[parent])) break;
+    PlaceNode(i, heap_[parent]);
+    i = parent;
+  }
+  PlaceNode(i, node);
+  return i;
+}
+
+void TabuNeighborhood::SiftDown(size_t i) {
+  const CandidateMove node = heap_[i];
+  const size_t n = heap_.size();
+  for (size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && CandidateOrderLess(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!CandidateOrderLess(heap_[child], node)) break;
+    PlaceNode(i, heap_[child]);
+    i = child;
+  }
+  PlaceNode(i, node);
+}
+
+void TabuNeighborhood::ExpandCursor(const Cursor& c) {
+  if (c.node >= 0) {
+    const size_t left = 2 * static_cast<size_t>(c.node) + 1;
+    for (size_t child = left; child < std::min(left + 2, heap_.size());
+         ++child) {
+      PushCursor(heap_[child], static_cast<int32_t>(child));
+    }
+  }
+  // The area's next admissible candidate after `c` in canonical order.
+  CandidateMove next{0.0, c.move.area, c.move.from, -1};
+  for (const Target& t : area_targets_[static_cast<size_t>(c.move.area)]) {
+    if (!t.admissible) continue;
+    const CandidateMove candidate{t.delta, c.move.area, c.move.from, t.to};
+    if (CandidateOrderLess(c.move, candidate) &&
+        (next.to == -1 || CandidateOrderLess(candidate, next))) {
+      next = candidate;
+    }
+  }
+  if (next.to != -1) PushCursor(next, -1);
 }
 
 ArticulationCache::ArticulationCache(const Partition* partition,

@@ -83,32 +83,45 @@ inline bool CandidateOrderLess(const CandidateMove& a,
 /// Maintains, for every assigned area of a donor-capable region (size > 1),
 /// the scored moves to each distinct adjacent foreign region together with
 /// each move's admissibility verdict: MoveSatisfiesConstraints plus donor
-/// contiguity, decided once when the candidate is scored. Candidates
-/// persist across iterations: after a move `area: from -> to` only the
-/// areas whose candidate set, deltas or verdicts can have changed — the
-/// boundary areas of `from` and `to` plus the foreign areas adjacent to
-/// either — are re-scored, instead of rebuilding the whole neighborhood.
+/// contiguity. A candidate `area: r -> t` is split into two halves:
+///  * the receiver half, cached on its Target: Objective::ReceiverTerm
+///    (area, t) and whether t's stats accept the area;
+///  * the donor half, cached once per area: Objective::DonorTerm(area, r),
+///    whether r's stats survive the removal, and — asked lazily, only when
+///    both constraint halves pass — whether r stays contiguous.
+/// delta = receiver − donor term; admissible = both constraint halves and
+/// contiguity. A half changes only when its region mutates, so after a
+/// move `area: from -> to` the members of `from` and `to` re-decide their
+/// donor half and reuse every receiver half into an untouched region,
+/// while foreign areas re-decide only their receiver halves into `from` or
+/// `to`, in place unless they border the moved area (the only areas whose
+/// set of target regions can change). A candidate counts as scored when
+/// either half is re-decided.
 ///
-/// Selection runs over a lazy-deletion min-heap of the ADMISSIBLE
-/// candidates only, keyed by the canonical (delta, area, to) order;
-/// re-scoring an area bumps its version, which invalidates its stale heap
-/// entries without searching for them.
+/// Selection runs over an indexed min-heap holding one node per area: its
+/// best admissible candidate in the canonical (delta, area, to) order.
+/// VisitInOrder walks it with a small cursor heap that, after yielding a
+/// candidate, offers the heap children of its node and the area's next
+/// candidate, so it yields every admissible candidate in canonical order.
 ///
 /// Invariants (pinned by neighborhood_test and the golden trajectory test):
 ///  * after any sequence of OnMoveApplied calls, the candidate set and
 ///    every verdict equal what Rebuild() would produce from scratch,
-///    deltas included bit-for-bit (unaffected candidates keep previously
-///    computed deltas and verdicts, which are exact because their two
-///    regions' members did not change);
+///    deltas included bit-for-bit;
+///  * a cached donor half is current for every area that has candidates,
+///    because every mutation of a region re-scores all of its boundary
+///    members;
 ///  * VisitInOrder yields exactly the admissible candidates, in canonical
 ///    order.
 class TabuNeighborhood {
  public:
-  /// One candidate of an area's list: the target region, the exact
-  /// objective delta and the admissibility verdict.
+  /// One candidate of an area's list: the target region, its cached
+  /// receiver half, and the exact objective delta and verdict.
   struct Target {
-    double delta;
+    double delta;     // receiver − the area's donor term
+    double receiver;  // Objective::ReceiverTerm(area, to)
     int32_t to;
+    bool add_ok;      // `to` satisfies every constraint with the area
     bool admissible;
   };
 
@@ -126,13 +139,14 @@ class TabuNeighborhood {
   int64_t Rebuild();
 
   /// Incremental update after `area` moved `from` -> `to` (partition and
-  /// objective already mutated). Re-scores only the affected areas and
-  /// returns the number of candidates scored.
+  /// objective already mutated). Re-scores only the halves those two
+  /// regions feed and returns the number of candidates scored.
   int64_t OnMoveApplied(int32_t area, int32_t from, int32_t to);
 
-  /// Number of admissible candidate moves (the ones VisitInOrder yields).
-  int64_t live_candidates() const { return live_; }
-  bool empty() const { return live_ == 0; }
+  /// Number of admissible candidate moves (the ones VisitInOrder yields),
+  /// counted over every area's list.
+  int64_t live_candidates() const;
+  bool empty() const { return heap_.empty(); }
 
   /// Admissibility of `mv` under the current partition, decided afresh
   /// (constraints plus the articulation cache). Tabu re-checks its chosen
@@ -156,76 +170,89 @@ class TabuNeighborhood {
   const Status& status() const { return status_; }
 
   /// Visits admissible candidates in canonical order until `visit` returns
-  /// false (or the set is exhausted). Visited-but-declined candidates stay
-  /// in the structure. `visit` must not mutate the partition or
-  /// objective; apply the chosen move after VisitInOrder returns, then
-  /// call OnMoveApplied.
+  /// false (or the set is exhausted). Visiting consumes nothing. `visit`
+  /// must not mutate the partition or objective; apply the chosen move
+  /// after VisitInOrder returns, then call OnMoveApplied.
   template <typename Visitor>
   void VisitInOrder(Visitor&& visit) {
-    popped_.clear();
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapGreater());
-      HeapEntry e = heap_.back();
-      heap_.pop_back();
-      if (!EntryLive(e)) continue;
-      popped_.push_back(e);
-      CandidateMove mv{e.delta, e.area, partition_->RegionOf(e.area), e.to};
-      if (!visit(static_cast<const CandidateMove&>(mv))) break;
-    }
-    // Put the visited survivors back; entries invalidated meanwhile (none
-    // today — visitors cannot mutate) would be dropped here.
-    for (const HeapEntry& e : popped_) {
-      if (EntryLive(e)) PushEntry(e);
+    cursors_.clear();
+    if (!heap_.empty()) PushCursor(heap_.front(), 0);
+    while (!cursors_.empty()) {
+      std::pop_heap(cursors_.begin(), cursors_.end(), CursorGreater());
+      const Cursor c = cursors_.back();
+      cursors_.pop_back();
+      if (!visit(c.move)) break;
+      ExpandCursor(c);
     }
   }
 
  private:
-  /// Heap entry. `version` must match the area's current version for the
-  /// entry to be live; re-scoring an area bumps the version, lazily
-  /// deleting its old entries.
-  struct HeapEntry {
-    double delta;
-    int32_t area;
-    int32_t to;
-    uint32_t version;
+  /// Donor half of an area's candidates (see the class comment).
+  struct Donor {
+    double term = 0.0;  // Objective::DonorTerm(area, region)
+    bool remove_ok = false;
+    int8_t keeps_contiguity = -1;  // -1 until asked
+  };
+  /// A candidate queued for VisitInOrder; `node` is its heap index when it
+  /// is its area's best, else -1.
+  struct Cursor {
+    CandidateMove move;
+    int32_t node;
   };
   /// std::push_heap/pop_heap build a max-heap, so "greater" yields the
   /// canonical minimum at the root.
-  struct HeapGreater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.delta != b.delta) return a.delta > b.delta;
-      if (a.area != b.area) return a.area > b.area;
-      return a.to > b.to;
+  struct CursorGreater {
+    bool operator()(const Cursor& a, const Cursor& b) const {
+      return CandidateOrderLess(b.move, a.move);
     }
   };
 
-  bool EntryLive(const HeapEntry& e) const {
-    return area_version_[static_cast<size_t>(e.area)] == e.version;
+  void PushCursor(const CandidateMove& move, int32_t node) {
+    cursors_.push_back({move, node});
+    std::push_heap(cursors_.begin(), cursors_.end(), CursorGreater());
   }
-  void PushEntry(const HeapEntry& e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), HeapGreater());
-  }
+  /// Queues what may follow `c`: its node's heap children and its area's
+  /// next admissible candidate.
+  void ExpandCursor(const Cursor& c);
 
-  /// Recomputes `area`'s candidate list (bumping its version); does not
-  /// touch the heap. Returns the number of candidates scored.
-  int64_t RescoreArea(int32_t area);
+  /// Recomputes `area`'s candidate list from its neighbors. Receiver
+  /// halves into regions other than `mutated_a/b` are reused from the old
+  /// list; the donor half is re-decided when `donor_changed` (or when
+  /// there is no old list to trust). With `foreign`, the same scan also
+  /// appends the neighbors in other regions not yet tagged in area_seen_
+  /// this epoch. Returns the candidates scored.
+  int64_t RescoreArea(int32_t area, int32_t mutated_a, int32_t mutated_b,
+                      bool donor_changed,
+                      std::vector<int32_t>* foreign = nullptr);
 
-  /// Like RescoreArea, but when `mutated_a/b` name the two regions the
-  /// triggering move touched, deltas and verdicts of candidates with both
-  /// endpoints untouched are carried over from the old list (bit-exact)
-  /// instead of being decided again. Full rescore when mutated_a == -1.
-  int64_t RescoreAreaImpl(int32_t area, int32_t mutated_a, int32_t mutated_b);
+  /// Re-decides, in place, the receiver halves of `area`'s candidates
+  /// into `mutated_a/b`. Returns the candidates scored.
+  int64_t RescoreReceivers(int32_t area, int32_t mutated_a,
+                           int32_t mutated_b);
+
+  /// Fills `t`'s receiver half for a move of `area` into `t->to`.
+  void ScoreReceiver(int32_t area, Target* t) const;
+
+  /// Combines `t`'s receiver half with `area`'s donor half into its delta
+  /// and verdict (asking contiguity of `from` at most once per area).
+  void Decide(int32_t area, int32_t from, Target* t);
 
   /// Donor-contiguity verdict from the cache, cross-checked against the
   /// BFS when `verify_cut_cache_` is set.
   bool DonorKeepsContiguity(int32_t from, int32_t area);
 
-  /// Pushes `area`'s admissible candidates onto the heap.
-  void PushAreaEntries(int32_t area);
-
-  /// Drops stale entries by rebuilding the heap from the per-area lists.
-  void CompactHeap();
+  /// Re-derives `area`'s heap node from its candidate list.
+  void UpdateHeapNode(int32_t area);
+  /// Restores heap order around index `i` after its node changed.
+  void FixHeapAt(size_t i);
+  /// Move heap_[i] toward the root / the leaves until the order holds;
+  /// SiftUp returns the node's final index.
+  size_t SiftUp(size_t i);
+  void SiftDown(size_t i);
+  void PlaceNode(size_t i, const CandidateMove& node) {
+    heap_[i] = node;
+    heap_pos_[static_cast<size_t>(node.area)] = static_cast<int32_t>(i);
+  }
 
   const Partition* partition_;
   const Objective* objective_;
@@ -234,11 +261,13 @@ class TabuNeighborhood {
   bool verify_cut_cache_;
   Status status_;
 
-  /// Per-area candidate state: version + target list.
-  std::vector<uint32_t> area_version_;
+  /// Per-area candidate state: target list and donor half.
   std::vector<std::vector<Target>> area_targets_;
-  std::vector<HeapEntry> heap_;
-  int64_t live_ = 0;
+  std::vector<Donor> donors_;
+  /// Indexed min-heap of per-area best admissible candidates; heap_pos_
+  /// maps an area to its node (-1 = none).
+  std::vector<CandidateMove> heap_;
+  std::vector<int32_t> heap_pos_;
   int64_t inadmissible_verdicts_ = 0;
 
   // Epoch-tagged scratch (no clearing between uses; a wrap resets tags).
@@ -246,15 +275,10 @@ class TabuNeighborhood {
   uint32_t region_epoch_ = 0;
   std::vector<uint32_t> area_seen_;
   uint32_t area_epoch_ = 0;
-  std::vector<int32_t> affected_;   // reused affected-area buffer
-  std::vector<HeapEntry> popped_;   // reused by VisitInOrder
-  // Previous target list of the area being rescored (delta and verdict
-  // reuse).
+  std::vector<int32_t> foreign_;  // foreign areas bordering from/to
+  std::vector<Cursor> cursors_;   // VisitInOrder's frontier
+  // Previous target list of the area being rescored (receiver reuse).
   std::vector<Target> old_targets_;
-  // Batched-rescore buffers: target regions needing fresh deltas and the
-  // deltas from one Objective::MoveDeltas call (reused across rescoring).
-  std::vector<int32_t> batch_tos_;
-  std::vector<double> batch_deltas_;
 };
 
 }  // namespace emp

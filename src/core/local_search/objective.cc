@@ -1,7 +1,5 @@
 #include "core/local_search/objective.h"
 
-#include <algorithm>
-
 namespace emp {
 
 Result<std::unique_ptr<CompactnessObjective>> CompactnessObjective::Create(
@@ -48,13 +46,15 @@ Result<std::unique_ptr<CompactnessObjective>> CompactnessObjective::Create(
   return obj;
 }
 
-double CompactnessObjective::SharedLength(int32_t a, int32_t b) const {
+double CompactnessObjective::BorderWith(int32_t area, int32_t rid) const {
+  double border = 0.0;
   const auto& neighbors =
-      partition_->bound().areas().graph().NeighborsOf(a);
-  auto it = std::lower_bound(neighbors.begin(), neighbors.end(), b);
-  if (it == neighbors.end() || *it != b) return 0.0;
-  return shared_[static_cast<size_t>(a)][static_cast<size_t>(
-      it - neighbors.begin())];
+      partition_->bound().areas().graph().NeighborsOf(area);
+  const auto& row = shared_[static_cast<size_t>(area)];
+  for (size_t k = 0; k < neighbors.size(); ++k) {
+    if (partition_->RegionOf(neighbors[k]) == rid) border += row[k];
+  }
+  return border;
 }
 
 double CompactnessObjective::MoveDelta(int32_t area, int32_t from,

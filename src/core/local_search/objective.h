@@ -18,6 +18,7 @@ namespace emp {
 ///
 /// Contract: MoveDelta/ApplyMove are called BEFORE the corresponding
 /// Partition::Move is applied, with (area, from, to) describing the move.
+/// ReceiverTerm/DonorTerm read the current state, so after both.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -26,17 +27,18 @@ class Objective {
   virtual double total() const = 0;
 
   /// Exact objective change if `area` moved from region `from` to `to`.
+  /// Equal to ReceiverTerm(area, to) − DonorTerm(area, from): bit for bit
+  /// for heterogeneity, up to the re-association of floating-point sums
+  /// otherwise.
   virtual double MoveDelta(int32_t area, int32_t from, int32_t to) const = 0;
 
-  /// Batched MoveDelta: out[i] = MoveDelta(area, from, tos[i]) for all n
-  /// candidate targets of one donor. Implementations may hoist the
-  /// donor-side work across the batch, but every delta must stay
-  /// bit-identical to the scalar MoveDelta — tabu trajectories are
-  /// golden-pinned on that. The default simply loops.
-  virtual void MoveDeltas(int32_t area, int32_t from, const int32_t* tos,
-                          size_t n, double* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = MoveDelta(area, from, tos[i]);
-  }
+  /// Receiver half of a move into region `to`: reads only `area` and the
+  /// members of `to`, so it stays exact until `to` mutates.
+  virtual double ReceiverTerm(int32_t area, int32_t to) const = 0;
+
+  /// Donor half of a move out of region `from`: reads only `area` and the
+  /// members of `from`, so it stays exact until `from` mutates.
+  virtual double DonorTerm(int32_t area, int32_t from) const = 0;
 
   /// Records the move in internal state (before the partition mutates).
   virtual void ApplyMove(int32_t area, int32_t from, int32_t to) = 0;
@@ -55,9 +57,11 @@ class HeterogeneityObjective final : public Objective {
   double MoveDelta(int32_t area, int32_t from, int32_t to) const override {
     return tracker_.MoveDelta(area, from, to);
   }
-  void MoveDeltas(int32_t area, int32_t from, const int32_t* tos, size_t n,
-                  double* out) const override {
-    tracker_.MoveDeltas(area, from, tos, n, out);
+  double ReceiverTerm(int32_t area, int32_t to) const override {
+    return tracker_.ContributionOf(area, to);
+  }
+  double DonorTerm(int32_t area, int32_t from) const override {
+    return tracker_.ContributionOf(area, from);
   }
   void ApplyMove(int32_t area, int32_t from, int32_t to) override {
     tracker_.ApplyMove(area, from, to);
@@ -81,6 +85,15 @@ class CompactnessObjective final : public Objective {
 
   double total() const override { return total_; }
   double MoveDelta(int32_t area, int32_t from, int32_t to) const override;
+  /// −2 × the border `area` shares with members of `to` (hidden on join).
+  double ReceiverTerm(int32_t area, int32_t to) const override {
+    return -2.0 * BorderWith(area, to);
+  }
+  /// −2 × the border `area` shares with members of `from` (exposed on
+  /// leave, hence subtracted from the receiver term).
+  double DonorTerm(int32_t area, int32_t from) const override {
+    return -2.0 * BorderWith(area, from);
+  }
   void ApplyMove(int32_t area, int32_t from, int32_t to) override;
   std::string name() const override { return "compactness"; }
 
@@ -88,8 +101,8 @@ class CompactnessObjective final : public Objective {
   explicit CompactnessObjective(const Partition* partition)
       : partition_(partition) {}
 
-  /// Shared border length between adjacent areas a and b (0 otherwise).
-  double SharedLength(int32_t a, int32_t b) const;
+  /// Total border `area` shares with the members of region `rid`.
+  double BorderWith(int32_t area, int32_t rid) const;
 
   const Partition* partition_;
   std::vector<double> area_perimeter_;
@@ -123,6 +136,16 @@ class WeightedObjective final : public Objective {
     for (const auto& [obj, w] : parts_) {
       sum += w * obj->MoveDelta(area, from, to);
     }
+    return sum;
+  }
+  double ReceiverTerm(int32_t area, int32_t to) const override {
+    double sum = 0.0;
+    for (const auto& [obj, w] : parts_) sum += w * obj->ReceiverTerm(area, to);
+    return sum;
+  }
+  double DonorTerm(int32_t area, int32_t from) const override {
+    double sum = 0.0;
+    for (const auto& [obj, w] : parts_) sum += w * obj->DonorTerm(area, from);
     return sum;
   }
   void ApplyMove(int32_t area, int32_t from, int32_t to) override {

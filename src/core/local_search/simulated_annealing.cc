@@ -2,10 +2,9 @@
 
 #include <cmath>
 #include <memory>
-#include <vector>
 
 #include "common/rng.h"
-#include "core/local_search/assignment_snapshot.h"
+#include "core/local_search/assignment_undo_log.h"
 #include "core/local_search/move.h"
 #include "core/local_search/objective.h"
 
@@ -84,7 +83,7 @@ Result<AnnealResult> SimulatedAnnealing(const AnnealOptions& options,
 
   double best_total = objective->total();
   double current_total = best_total;
-  std::vector<int32_t> best_assignment = SnapshotAssignment(*partition);
+  AssignmentUndoLog best_log(n);
 
   for (int64_t it = 0; it < iterations; ++it) {
     if (supervisor != nullptr && supervisor->Check()) break;
@@ -110,17 +109,18 @@ Result<AnnealResult> SimulatedAnnealing(const AnnealOptions& options,
       continue;
     }
     objective->ApplyMove(area, from, to);
+    best_log.Record(area, from);
     partition->Move(area, to);
     current_total += delta;
     ++result.accepted;
     if (current_total < best_total - 1e-9) {
       best_total = current_total;
-      best_assignment = SnapshotAssignment(*partition);
+      best_log.MarkBest();
       ++result.improving;
     }
   }
 
-  RestoreAssignment(best_assignment, partition);
+  best_log.Rollback(partition);
   result.final_objective = best_total;
   if (supervisor != nullptr && supervisor->tripped().has_value()) {
     result.termination = *supervisor->tripped();

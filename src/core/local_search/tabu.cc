@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "core/local_search/assignment_snapshot.h"
+#include "core/local_search/assignment_undo_log.h"
 #include "core/local_search/heterogeneity.h"
 #include "core/local_search/neighborhood.h"
 #include "core/local_search/objective.h"
@@ -55,7 +55,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   const bool incremental = !seam->full_rebuild;
 
   double best_total = tracker.total();
-  std::vector<int32_t> best_assignment = SnapshotAssignment(*partition);
+  AssignmentUndoLog best_log(partition->num_areas());
 
   std::deque<uint64_t> tabu_order;
   // Value = number of times the key is currently in the queue (a key can
@@ -147,6 +147,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     // Apply. Objectives record the move BEFORE the partition mutates.
     const CandidateMove mv = *chosen;
     tracker.ApplyMove(mv.area, mv.from, mv.to);
+    best_log.Record(mv.area, mv.from);
     partition->Move(mv.area, mv.to);
     if (incremental) {
       pending_scored = neighborhood.OnMoveApplied(mv.area, mv.from, mv.to);
@@ -166,7 +167,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     }
     if (tracker.total() < best_total - 1e-9) {
       best_total = tracker.total();
-      best_assignment = SnapshotAssignment(*partition);
+      best_log.MarkBest();
       ++result.improving_moves;
       no_improve = 0;
       if (trace != nullptr) {
@@ -179,7 +180,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   }
 
   epoch_span.reset();
-  RestoreAssignment(best_assignment, partition);
+  best_log.Rollback(partition);
   result.final_heterogeneity = best_total;
   result.cut_cache_hits = neighborhood.cut_cache().hits();
   result.cut_cache_misses = neighborhood.cut_cache().misses();

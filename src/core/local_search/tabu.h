@@ -45,9 +45,9 @@ struct TabuResult {
   /// Admissible candidates visited by the selection loop (incl. the ones
   /// rejected as tabu).
   int64_t moves_tried = 0;
-  /// Objective MoveDelta evaluations performed by the neighborhood engine
-  /// — only the re-scored candidates, or the full neighborhood per
-  /// iteration under TabuTestSeam::full_rebuild.
+  /// Candidates scored by the neighborhood engine (objective evaluations)
+  /// — those with a re-decided receiver or donor half, or the full
+  /// neighborhood per iteration under TabuTestSeam::full_rebuild.
   int64_t candidates_scored = 0;
   /// Donor-contiguity queries answered from the articulation cache /
   /// requiring a Tarjan recomputation. Both engines decide verdicts

@@ -312,6 +312,57 @@ TEST(TabuNeighborhoodTest, DonorCapabilityTransitions) {
   EXPECT_TRUE(area0_present);
 }
 
+TEST(TabuNeighborhoodTest, DecliningVisitorSeesEveryAdmissibleTarget) {
+  // Nine 2x2-ish blocks on a 6x6 grid, so corner areas border two or three
+  // foreign regions (several candidates per area) and dozens of areas sit
+  // in the heap (the visit must expand heap children, not just the root).
+  // After every random move, a visitor that declines everything must see
+  // exactly the admissible entries of targets_of(), in canonical order.
+  std::vector<double> s;
+  for (int32_t a = 0; a < 36; ++a) {
+    s.push_back(static_cast<double>((a * 17 + 5) % 13));
+  }
+  AreaSet areas = test::MakeAreaSet(test::GridGraph(6, 6), {{"s", s}});
+  NeighborhoodSetup setup(&areas, {Constraint::Count(1, 36)});
+  std::vector<int32_t> rids;
+  for (int i = 0; i < 9; ++i) rids.push_back(setup.partition.CreateRegion());
+  for (int32_t a = 0; a < 36; ++a) {
+    const int32_t block = (a / 6 / 2) * 3 + (a % 6) / 2;
+    setup.partition.Assign(a, rids[static_cast<size_t>(block)]);
+  }
+
+  HeterogeneityObjective objective(setup.partition);
+  TabuNeighborhood nbhd(&setup.partition, &objective, &setup.connectivity);
+  nbhd.Rebuild();
+
+  Rng rng(2024);
+  bool saw_multi_target_area = false;
+  for (int applied = 0; applied < 60; ++applied) {
+    std::vector<CandidateMove> expected;
+    for (int32_t a = 0; a < 36; ++a) {
+      int admissible = 0;
+      for (const TabuNeighborhood::Target& t : nbhd.targets_of(a)) {
+        if (!t.admissible) continue;
+        expected.push_back({t.delta, a, setup.partition.RegionOf(a), t.to});
+        ++admissible;
+      }
+      saw_multi_target_area = saw_multi_target_area || admissible > 1;
+    }
+    std::sort(expected.begin(), expected.end(), CandidateOrderLess);
+    const std::vector<CandidateMove> visited = Dump(&nbhd);
+    ExpectSameCandidates(visited, expected);
+    ASSERT_EQ(nbhd.live_candidates(), static_cast<int64_t>(expected.size()));
+    if (visited.empty()) break;
+
+    const CandidateMove mv = visited[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(visited.size()) - 1))];
+    objective.ApplyMove(mv.area, mv.from, mv.to);
+    setup.partition.Move(mv.area, mv.to);
+    nbhd.OnMoveApplied(mv.area, mv.from, mv.to);
+  }
+  EXPECT_TRUE(saw_multi_target_area);
+}
+
 TEST(ArticulationCacheTest, AgreesWithBfsOnEveryQuery) {
   AreaSet areas = test::MakeAreaSet(
       test::GridGraph(4, 4),

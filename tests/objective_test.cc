@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "data/synthetic/dataset_catalog.h"
 #include "test_util.h"
 
@@ -154,6 +157,44 @@ TEST_F(CompactnessTest, WeightedObjectiveCombinesComponents) {
   combined.ApplyMove(mover, 0, 1);
   p.Move(mover, 1);
   EXPECT_NEAR(combined.total(), before + delta, 1e-6);
+}
+
+TEST_F(CompactnessTest, SplitTermsReproduceMoveDelta) {
+  // ReceiverTerm − DonorTerm is the delta the tabu neighborhood scores, so
+  // it must equal MoveDelta on every boundary move: bit for bit for
+  // heterogeneity, and up to re-associated sums for the others.
+  Partition p = HalfSplit();
+  HeterogeneityObjective het(p);
+  auto compact = CompactnessObjective::Create(p);
+  ASSERT_TRUE(compact.ok());
+  WeightedObjective combined;
+  combined.Add(&het, 1.0);
+  combined.Add(compact->get(), 500.0);
+  auto near = [](double split, double whole) {
+    return std::abs(split - whole) <=
+           1e-9 * std::max(1.0, std::max(std::abs(split), std::abs(whole)));
+  };
+  int moves = 0;
+  for (int32_t a = 0; a < areas_->num_areas(); ++a) {
+    const int32_t from = p.RegionOf(a);
+    for (int32_t nb : areas_->graph().NeighborsOf(a)) {
+      const int32_t to = p.RegionOf(nb);
+      if (to == from) continue;
+      ++moves;
+      EXPECT_EQ(het.ReceiverTerm(a, to) - het.DonorTerm(a, from),
+                het.MoveDelta(a, from, to))
+          << "area " << a;
+      const Objective& c = **compact;
+      EXPECT_PRED2(near, c.ReceiverTerm(a, to) - c.DonorTerm(a, from),
+                   c.MoveDelta(a, from, to))
+          << "area " << a;
+      EXPECT_PRED2(near,
+                   combined.ReceiverTerm(a, to) - combined.DonorTerm(a, from),
+                   combined.MoveDelta(a, from, to))
+          << "area " << a;
+    }
+  }
+  EXPECT_GT(moves, 0);
 }
 
 }  // namespace

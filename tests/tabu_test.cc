@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/local_search/assignment_undo_log.h"
 #include "core/local_search/heterogeneity.h"
+#include "core/local_search/objective.h"
 #include "test_util.h"
 
 namespace emp {
@@ -150,6 +152,78 @@ TEST(TabuTest, RestoresBestNotLast) {
   EXPECT_NEAR(ComputeHeterogeneity(setup.partition),
               result->final_heterogeneity, 1e-9);
   EXPECT_LE(result->final_heterogeneity, result->initial_heterogeneity);
+}
+
+TEST(TabuTest, UndoLogRestoreMatchesSnapshotRestore) {
+  // A run that ends on non-improving moves hands back its best partition
+  // by undoing them. Replaying the trajectory on a second partition, a
+  // snapshot of the best state plus RestoreAssignment must land on the
+  // same assignment, the same member lists (order included) and the same
+  // RegionStats.
+  AreaSet areas = test::MakeAreaSet(
+      test::GridGraph(4, 4),
+      {{"s", {4, 9, 1, 7, 2, 8, 5, 3, 9, 1, 6, 4, 7, 3, 8, 2}}});
+  const std::vector<Constraint> cs = {Constraint::Sum("s", 10, kNoUpperBound),
+                                      Constraint::Min("s", kNoLowerBound, 4)};
+  const int32_t quadrant_of[16] = {0, 0, 1, 1, 0, 0, 1, 1,
+                                   2, 2, 3, 3, 2, 2, 3, 3};
+  auto seed = [&](Partition* partition) {
+    int32_t r[4];
+    for (int i = 0; i < 4; ++i) r[i] = partition->CreateRegion();
+    for (int32_t a = 0; a < 16; ++a) partition->Assign(a, r[quadrant_of[a]]);
+  };
+  TabuSetup searched(&areas, cs);
+  seed(&searched.partition);
+  SolverOptions options;
+  options.tabu_max_no_improve = 20;
+  std::vector<TabuMove> trajectory;
+  TabuTestSeam seam;
+  seam.trajectory = &trajectory;
+  auto result = TabuSearch(options, &searched.connectivity,
+                           &searched.partition, /*objective=*/nullptr,
+                           /*supervisor=*/nullptr, &seam);
+  ASSERT_TRUE(result.ok());
+
+  TabuSetup replayed(&areas, cs);
+  seed(&replayed.partition);
+  HeterogeneityObjective objective(replayed.partition);
+  double best_total = objective.total();
+  std::vector<int32_t> best(16);
+  auto snapshot = [&] {
+    for (int32_t a = 0; a < 16; ++a) best[a] = replayed.partition.RegionOf(a);
+  };
+  snapshot();
+  size_t moves_after_best = 0;
+  for (const TabuMove& mv : trajectory) {
+    objective.ApplyMove(mv.area, mv.from, mv.to);
+    replayed.partition.Move(mv.area, mv.to);
+    if (objective.total() < best_total - 1e-9) {
+      best_total = objective.total();
+      snapshot();
+      moves_after_best = 0;
+    } else {
+      ++moves_after_best;
+    }
+  }
+  ASSERT_EQ(moves_after_best, 20u) << "the run must end on a non-improving "
+                                      "streak for the restore to matter";
+  RestoreAssignment(best, &replayed.partition);
+
+  for (int32_t a = 0; a < 16; ++a) {
+    EXPECT_EQ(searched.partition.RegionOf(a), replayed.partition.RegionOf(a))
+        << "area " << a;
+  }
+  for (int32_t rid : replayed.partition.AliveRegionIds()) {
+    const Region& want = replayed.partition.region(rid);
+    const Region& got = searched.partition.region(rid);
+    EXPECT_EQ(got.areas, want.areas) << "region " << rid;
+    ASSERT_EQ(got.stats.count(), want.stats.count()) << "region " << rid;
+    for (int ci = 0; ci < static_cast<int>(cs.size()); ++ci) {
+      EXPECT_EQ(got.stats.AggregateValue(ci), want.stats.AggregateValue(ci))
+          << "region " << rid << " constraint " << ci;
+    }
+  }
+  EXPECT_EQ(result->final_heterogeneity, best_total);
 }
 
 TEST(TabuTest, NullArgumentsRejected) {
